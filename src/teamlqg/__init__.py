@@ -3,7 +3,7 @@
 from .errors import (
     InfluenceError,
     JointSizeError,
-    NoActionError,
+    NonFiniteCostError,
     RiccatiError,
     SingularInnovationError,
 )
@@ -26,26 +26,21 @@ from .model import (
 )
 from .riccati import RiccatiPass, solve_riccati
 from .filters import (
-    EstimatorState,
     GlobalFilterSchedule,
     LocalFilterSchedule,
     combined_agent_estimate,
-    init_state,
-    measurement_update,
     precompute_global,
     precompute_local,
-    step,
+    predict_estimates,
+    prior_estimates,
     team_error_covariance,
-    time_predict,
+    update_estimates,
 )
 from .strategy import (
     CustomLinear,
     MeanField,
     Optimal,
     ZeroAction,
-    act_custom,
-    act_meanfield,
-    act_optimal,
     load_custom_strategy,
     meanfield_trajectory,
     optimal_coefficients,

@@ -1,7 +1,7 @@
 """Command-line interface: validate, precompute, simulate, verify, convergence.
 
 Exit codes: 0 success, 1 model or invariant validation failure, 2 numerical
-failure inside a recursion, 64 usage error.
+failure inside a recursion or a non-finite simulated cost, 64 usage error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,12 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import JointSizeError, RiccatiError, SingularInnovationError
+from .errors import (
+    JointSizeError,
+    NonFiniteCostError,
+    RiccatiError,
+    SingularInnovationError,
+)
 from .filters import (
     global_schedule_from_json_dict,
     local_schedule_from_json_dict,
@@ -34,7 +39,8 @@ EXIT_INVALID = 1
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 
-_NUMERICAL_ERRORS = (RiccatiError, SingularInnovationError, JointSizeError)
+_NUMERICAL_ERRORS = (RiccatiError, SingularInnovationError, JointSizeError,
+                     NonFiniteCostError)
 
 
 class _UsageError(Exception):

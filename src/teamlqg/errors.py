@@ -27,5 +27,5 @@ class JointSizeError(ValueError):
     """Raised when a requested joint model exceeds the configured size cap."""
 
 
-class NoActionError(ValueError):
-    """Raised when an action is requested at the final stage, where none is defined."""
+class NonFiniteCostError(RuntimeError):
+    """Raised when a simulated cost overflows or turns NaN."""

@@ -9,20 +9,21 @@ state estimate is the derived view ``delta + alpha_i * aggregate`` and is
 never stored as a second recursion.
 
 Schedules (covariances and gains) depend only on the model, so they are
-precomputed once.  Per-rollout stepping is cheap linear algebra on top.
+precomputed once.  Stepping is cheap linear algebra on top, batched over
+rollouts along a leading axis; the simulator and a single hand-driven
+trajectory use the same update and predict functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Literal
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import SingularInnovationError
-from .model import TeamModel, deep_aggregate, gauge_decompose
+from .model import TeamModel
 
-GAUGE_TOL = 1e-6
 _SINGULAR_REL = 1e-12
 
 
@@ -48,35 +49,6 @@ class GlobalFilterSchedule:
     Sigma_pred: np.ndarray
     Sigma_post: np.ndarray
     gain: np.ndarray
-
-
-@dataclass(frozen=True)
-class EstimatorState:
-    """Filter state at one stage: deviation estimates plus the aggregate estimate.
-
-    ``phase`` records whether stage ``t``'s measurement has been absorbed.
-    The deviation rows always satisfy (1/n) sum_i alpha_i delta_xhat_i = 0.
-    """
-
-    delta_xhat: np.ndarray
-    agg_xhat: np.ndarray
-    t: int
-    phase: Literal["predicted", "updated"]
-
-
-@dataclass(frozen=True)
-class InnovationRecord:
-    """Observation surprises at one stage.
-
-    ``raw[i]`` is agent i's observation minus its one-step prediction,
-    ``agg`` the influence-weighted average of the raw rows, and ``dev[i]``
-    the remainder ``raw[i] - alpha_i * agg``.
-    """
-
-    raw: np.ndarray
-    dev: np.ndarray
-    agg: np.ndarray
-    t: int
 
 
 def _checked_gain(sigma_pred: np.ndarray, obs: np.ndarray, noise_cov: np.ndarray,
@@ -137,143 +109,75 @@ def precompute_global(model: TeamModel) -> GlobalFilterSchedule:
     return GlobalFilterSchedule(Sigma_pred=sigma_pred, Sigma_post=sigma_post, gain=gain)
 
 
-def init_state(model: TeamModel) -> EstimatorState:
-    """Prior estimates before the first observation."""
+def prior_estimates(model: TeamModel, batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deviation (batch, n, d_x) and aggregate (batch, d_x) estimates before
+    the first observation."""
     a_mean = model.alpha_mean
-    scale = 1.0 - model.alpha * a_mean
-    return EstimatorState(
-        delta_xhat=np.outer(scale, model.mu_x),
-        agg_xhat=a_mean * model.mu_x,
-        t=0,
-        phase="predicted",
-    )
+    delta = np.outer(1.0 - model.alpha * a_mean, model.mu_x)
+    return (np.broadcast_to(delta, (batch, *delta.shape)).copy(),
+            np.broadcast_to(a_mean * model.mu_x, (batch, model.dims.d_x)).copy())
 
 
-def innovations(state: EstimatorState, y: np.ndarray, model: TeamModel) -> InnovationRecord:
-    """Observation surprises given a predicted-phase state.
-
-    The per-agent prediction is ``C delta_xhat_i + alpha_i (C + C_bar) agg``,
-    which accounts for the coupled observation channel exactly.
-    """
-    if state.phase != "predicted":
-        raise ValueError("innovations need a predicted-phase state")
-    t = state.t
-    C = model.C[t]
-    C_all = C + model.C_bar[t]
-    predicted = state.delta_xhat @ C.T + np.outer(model.alpha, C_all @ state.agg_xhat)
-    raw = np.asarray(y, dtype=float) - predicted
-    agg = deep_aggregate(raw, model.alpha)
-    dev = raw - np.outer(model.alpha, agg)
-    return InnovationRecord(raw=raw, dev=dev, agg=agg, t=t)
-
-
-def measurement_update(
-    state: EstimatorState,
+def update_estimates(
+    model: TeamModel,
+    local: LocalFilterSchedule,
+    glob: Optional[GlobalFilterSchedule],
+    t: int,
+    delta: np.ndarray,
+    agg: np.ndarray,
     y: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Absorb stage t's observations into a batch of estimates.
+
+    ``delta`` (B, n, d_x) and ``agg`` (B, d_x) are the predicted estimates
+    and ``y`` (B, n, d_y) the observations; B = 1 covers one trajectory.
+    Returns the updated ``(delta, agg, correction)``, where ``correction``
+    is the aggregate filter's update.
+
+    Each agent's innovation splits into its influence-weighted average,
+    which drives the aggregate filter, and the remainder, which drives the
+    deviation filter.  The deviation rows are then projected back onto
+    ``alpha @ delta / n == 0``: no innovation ever corrects that component,
+    so without the projection its rounding error grows at the open-loop
+    rate of A.
+
+    With ``glob`` None the aggregate is not observed but a known path, such
+    as the mean-field plan (a single (d_x,) row is accepted).  The whole
+    innovation then drives the private deviation filters, ``agg`` comes back
+    unchanged and ``correction`` is None.
+    """
+    alpha = model.alpha
+    n = alpha.shape[0]
+    a3 = alpha[None, :, None]
+    C_all = model.C[t] + model.C_bar[t]
+    raw = y - (delta @ model.C[t].T + a3 * (agg @ C_all.T)[..., None, :])
+    if glob is None:
+        return delta + raw @ local.gain[t].T, agg, None
+    agg_innov = alpha @ raw / n
+    delta = delta + (raw - a3 * agg_innov[:, None, :]) @ local.gain[t].T
+    delta -= a3 * (alpha @ delta / n)[:, None, :]
+    correction = agg_innov @ glob.gain[t].T
+    return delta, agg + correction, correction
+
+
+def predict_estimates(
     model: TeamModel,
-    local: LocalFilterSchedule,
-    glob: GlobalFilterSchedule,
-) -> tuple[EstimatorState, InnovationRecord]:
-    """Absorb stage t's observations into both filters."""
-    rec = innovations(state, y, model)
-    t = state.t
-    delta = state.delta_xhat + rec.dev @ local.gain[t].T
-    agg = state.agg_xhat + glob.gain[t] @ rec.agg
-    return EstimatorState(delta_xhat=delta, agg_xhat=agg, t=t, phase="updated"), rec
-
-
-def time_predict(state: EstimatorState, u: np.ndarray, model: TeamModel) -> EstimatorState:
-    """Advance both filters through the dynamics using the applied actions."""
-    if state.phase != "updated":
-        raise ValueError("time_predict needs an updated-phase state")
-    t = state.t
-    if t + 1 >= model.dims.T:
-        raise ValueError(f"no stage beyond t={t + 1} in a horizon of {model.dims.T}")
-    delta_u, u_bar = gauge_decompose(np.asarray(u, dtype=float), model.alpha)
-    delta = state.delta_xhat @ model.A[t].T + delta_u @ model.B[t].T
-    A_all = model.A[t] + model.A_bar[t]
-    B_all = model.B[t] + model.B_bar[t]
-    agg = A_all @ state.agg_xhat + B_all @ u_bar
-    return EstimatorState(delta_xhat=delta, agg_xhat=agg, t=t + 1, phase="predicted")
-
-
-def step(
-    state: EstimatorState,
+    t: int,
+    delta: np.ndarray,
+    agg: np.ndarray,
     u: np.ndarray,
-    y_next: np.ndarray,
-    model: TeamModel,
-    local: LocalFilterSchedule,
-    glob: GlobalFilterSchedule,
-) -> tuple[EstimatorState, InnovationRecord]:
-    """One full transition: predict through the dynamics, then update."""
-    return measurement_update(time_predict(state, u, model), y_next, model, local, glob)
-
-
-def _check_deviation_rows(rows: np.ndarray, alpha: np.ndarray, name: str) -> None:
-    resid = alpha @ rows / alpha.shape[0]
-    scale = 1.0 + np.max(np.abs(rows), initial=0.0)
-    if np.max(np.abs(resid), initial=0.0) > GAUGE_TOL * scale:
-        raise ValueError(f"{name} rows are not valid deviations: weighted sum is nonzero")
-
-
-def local_step(
-    state: EstimatorState,
-    delta_u: np.ndarray,
-    delta_y_next: np.ndarray,
-    schedule: LocalFilterSchedule,
-    model: TeamModel,
-) -> EstimatorState:
-    """Advance only the deviation component using deviation inputs.
-
-    Returns a state at (t + 1, updated) whose aggregate entry is carried
-    over unchanged; pair with global_step on the same source state and
-    merge_components to produce the coherent next state.
-    """
-    if state.phase != "updated":
-        raise ValueError("local_step needs an updated-phase state")
-    t = state.t
-    if t + 1 >= model.dims.T:
-        raise ValueError(f"no stage beyond t={t + 1} in a horizon of {model.dims.T}")
-    delta_u = np.asarray(delta_u, dtype=float)
-    delta_y_next = np.asarray(delta_y_next, dtype=float)
-    _check_deviation_rows(delta_u, model.alpha, "action")
-    _check_deviation_rows(delta_y_next, model.alpha, "observation")
-    pred = state.delta_xhat @ model.A[t].T + delta_u @ model.B[t].T
-    dev = delta_y_next - pred @ model.C[t + 1].T
-    post = pred + dev @ schedule.gain[t + 1].T
-    return replace(state, delta_xhat=post, t=t + 1)
-
-
-def global_step(
-    state: EstimatorState,
     u_bar: np.ndarray,
-    y_bar_next: np.ndarray,
-    schedule: GlobalFilterSchedule,
-    model: TeamModel,
-) -> EstimatorState:
-    """Advance only the aggregate component using aggregate inputs.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance a batch of estimates through stage t's dynamics.
 
-    Counterpart of local_step; the deviation rows are carried over unchanged.
+    ``u`` (B, n, d_u) holds the applied actions and ``u_bar`` their
+    influence-weighted average, or the planned one for mean-field filters.
     """
-    if state.phase != "updated":
-        raise ValueError("global_step needs an updated-phase state")
-    t = state.t
-    if t + 1 >= model.dims.T:
-        raise ValueError(f"no stage beyond t={t + 1} in a horizon of {model.dims.T}")
-    A_all = model.A[t] + model.A_bar[t]
-    B_all = model.B[t] + model.B_bar[t]
-    C_all = model.C[t + 1] + model.C_bar[t + 1]
-    pred = A_all @ state.agg_xhat + B_all @ np.asarray(u_bar, dtype=float)
-    innov = np.asarray(y_bar_next, dtype=float) - C_all @ pred
-    post = pred + schedule.gain[t + 1] @ innov
-    return replace(state, agg_xhat=post, t=t + 1)
-
-
-def merge_components(local_advanced: EstimatorState, global_advanced: EstimatorState) -> EstimatorState:
-    """Reunite matching local_step and global_step results into one state."""
-    if (local_advanced.t, local_advanced.phase) != (global_advanced.t, global_advanced.phase):
-        raise ValueError("half-steps disagree on stage or phase")
-    return replace(local_advanced, agg_xhat=global_advanced.agg_xhat)
+    a3 = model.alpha[None, :, None]
+    delta = delta @ model.A[t].T + (u - a3 * u_bar[..., None, :]) @ model.B[t].T
+    agg = (agg @ (model.A[t] + model.A_bar[t]).T
+           + u_bar @ (model.B[t] + model.B_bar[t]).T)
+    return delta, agg
 
 
 def combined_agent_estimate(delta_xhat, agg_xhat, alpha):

@@ -27,6 +27,7 @@ from .strategy import (
     StrategyKind,
     ZeroAction,
     meanfield_trajectory,
+    optimal_coefficients,
 )
 
 DEFAULT_JOINT_CAP = 64
@@ -151,9 +152,11 @@ def _estimator_update_maps(model: TeamModel, local, glob, t: int):
     """Affine update of the internal state sigma = [deviations; aggregate].
 
     Returns (U_s, U_y) with sigma_post = U_s s_pred + U_y y.  The aggregate
-    row subtracts the weighted mean of the deviation block exactly the way
-    the stepping code does, so the map mirrors the implementation even off
-    the constraint manifold.
+    row subtracts the weighted mean of the deviation block, as the stepping
+    code does.  The stepping code then projects the deviation rows back onto
+    the constraint ``alpha @ delta / n == 0`` and this map does not, so the
+    two agree on the constraint manifold, which every reachable state lies
+    on, and differ off it.
     """
     d = model.dims
     n = d.n
@@ -290,14 +293,7 @@ def _policy_maps(model: TeamModel, kind: StrategyKind) -> tuple[np.ndarray, list
     if isinstance(kind, ZeroAction):
         return _zero_policy(model)
     if isinstance(kind, Optimal):
-        gains = solve_riccati(model)
-        coeffs = CustomLinear(
-            theta=gains.gain.copy(),
-            phi=gains.gain_agg - gains.gain,
-            psi=np.zeros((max(model.dims.T - 1, 0), model.dims.d_u, model.dims.d_y)),
-            omega=np.zeros((max(model.dims.T - 1, 0), model.dims.d_u, model.dims.d_y)),
-        )
-        return _filtering_policy(model, coeffs)
+        return _filtering_policy(model, optimal_coefficients(solve_riccati(model), model))
     if isinstance(kind, MeanField):
         return _meanfield_policy(model)
     if isinstance(kind, CustomLinear):

@@ -17,23 +17,15 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import NonFiniteCostError
 from .filters import (
-    GlobalFilterSchedule,
-    LocalFilterSchedule,
     precompute_global,
-    precompute_local,
+    predict_estimates,
+    prior_estimates,
+    update_estimates,
 )
 from .model import TeamModel
-from .riccati import RiccatiPass, solve_riccati
-from .strategy import (
-    CustomLinear,
-    MeanField,
-    MeanFieldPlan,
-    Optimal,
-    StrategyKind,
-    ZeroAction,
-    meanfield_trajectory,
-)
+from .strategy import MeanField, Optimal, Prepared, StrategyKind
 
 DEFAULT_CHUNK = 2048
 
@@ -67,7 +59,7 @@ class RolloutBatch:
     costs: np.ndarray            # (B,)
     stage_costs: np.ndarray      # (B, T)
     ms_correction: np.ndarray    # (B,) summed squared aggregate-filter updates
-    residual_max: float          # worst relative cost-split residual seen
+    residual_max: float          # worst relative cost-split residual, NaN-aware
     traces: tuple[Trace, ...]
 
 
@@ -80,31 +72,9 @@ class CostEstimate:
     degenerate: bool             # all rollouts identical (no sampling spread)
 
 
-@dataclass(frozen=True)
-class _Prepared:
-    """Schedules a strategy needs, solved once per model."""
-
-    kind: StrategyKind
-    gains: Optional[RiccatiPass]
-    local: Optional[LocalFilterSchedule]
-    glob: Optional[GlobalFilterSchedule]
-    plan: Optional[MeanFieldPlan]
-
-
-def _prepare(model: TeamModel, kind: StrategyKind) -> _Prepared:
-    if isinstance(kind, ZeroAction):
-        return _Prepared(kind, None, None, None, None)
-    if isinstance(kind, Optimal):
-        return _Prepared(kind, solve_riccati(model), precompute_local(model),
-                         precompute_global(model), None)
-    if isinstance(kind, CustomLinear):
-        return _Prepared(kind, None, precompute_local(model),
-                         precompute_global(model), None)
-    if isinstance(kind, MeanField):
-        gains = solve_riccati(model)
-        return _Prepared(kind, gains, precompute_local(model), None,
-                         meanfield_trajectory(model, gains))
-    raise TypeError(f"unsupported strategy kind {kind!r}")
+def _prepare(model: TeamModel, kind: StrategyKind) -> Prepared:
+    """Solve what a strategy acts with; a run calls this once per strategy."""
+    return kind.prepare(model)
 
 
 def _cov_factor(sigma: np.ndarray) -> np.ndarray:
@@ -148,32 +118,26 @@ def _quad(vec: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.einsum("bd,de,be->b", vec, M, vec)
 
 
-def _run_batch(model: TeamModel, prep: _Prepared, bank: dict,
+def _run_batch(model: TeamModel, prep: Prepared, bank: dict,
                keep_traces: int = 0) -> RolloutBatch:
     """Advance a batch of rollouts through the closed loop, vectorized.
 
-    Each stage the team cost is computed twice, directly and through the
-    aggregate/deviation split, and the worst relative disagreement is
-    reported as ``residual_max``.
+    Each stage runs update, action, cost and predict.  The team cost is
+    computed twice, directly and through the aggregate/deviation split, and
+    the worst relative disagreement is reported as ``residual_max``; a NaN
+    anywhere makes it NaN.
     """
     d = model.dims
     n, T = d.n, d.T
     alpha = model.alpha
     a3 = alpha[None, :, None]
-    kind = prep.kind
+    coeffs, plan = prep.coeffs, prep.plan
     B = bank["x1"].shape[0]
     keep = min(keep_traces, B)
 
     x = bank["x1"].copy()
-    has_filter = not isinstance(kind, ZeroAction)
-    is_mf = isinstance(kind, MeanField)
-    has_glob = prep.glob is not None
-    if has_filter:
-        delta = np.broadcast_to(
-            np.outer(1.0 - alpha * model.alpha_mean, model.mu_x), (B, n, d.d_x)
-        ).copy()
-    if has_glob:
-        agg = np.broadcast_to(model.alpha_mean * model.mu_x, (B, d.d_x)).copy()
+    if coeffs is not None:
+        delta, agg = prior_estimates(model, B)
 
     stage_costs = np.zeros((B, T))
     ms_correction = np.zeros(B)
@@ -184,45 +148,23 @@ def _run_batch(model: TeamModel, prep: _Prepared, bank: dict,
     for t in range(T):
         C, C_bar = model.C[t], model.C_bar[t]
         S, S_bar = model.S[t], model.S_bar[t]
-        C_all = C + C_bar
         x_bar = alpha @ x / n
         v = bank["v"][t]
         v_bar = alpha @ v / n
         y = x @ C.T + v @ S.T + a3 * (x_bar @ C_bar.T + v_bar @ S_bar.T)[:, None, :]
 
-        # measurement update
-        if has_filter:
-            if is_mf:
-                mean_obs = C_all @ prep.plan.mean[t]
-                dev = y - a3 * mean_obs[None, None, :] - delta @ C.T
-                delta = delta + dev @ prep.local.gain[t].T
-            else:
-                predicted = delta @ C.T + a3 * (agg @ C_all.T)[:, None, :]
-                raw = y - predicted
-                agg_innov = alpha @ raw / n
-                dev = raw - a3 * agg_innov[:, None, :]
-                delta = delta + dev @ prep.local.gain[t].T
-                correction = agg_innov @ prep.glob.gain[t].T
-                agg = agg + correction
+        if coeffs is not None:
+            if plan is not None:
+                agg = plan.mean[t]
+            delta, agg, correction = update_estimates(
+                model, prep.local, prep.glob, t, delta, agg, y)
+            if correction is not None:
                 ms_correction += np.einsum("bd,bd->b", correction, correction)
 
-        # action
         last = t == T - 1
         if not last:
-            if isinstance(kind, ZeroAction):
-                u = np.zeros((B, n, d.d_u))
-            elif isinstance(kind, Optimal):
-                g, gg = prep.gains.gain[t], prep.gains.gain_agg[t]
-                u = delta @ g.T + a3 * (agg @ gg.T)[:, None, :]
-            elif is_mf:
-                g, gg = prep.gains.gain[t], prep.gains.gain_agg[t]
-                u = delta @ g.T + a3 * (gg @ prep.plan.mean[t])[None, None, :]
-            else:
-                combined = delta + a3 * agg[:, None, :]
-                y_bar = alpha @ y / n
-                shared = agg @ kind.phi[t].T + y_bar @ kind.omega[t].T
-                u = combined @ kind.theta[t].T + y @ kind.psi[t].T \
-                    + a3 * shared[:, None, :]
+            u = (np.zeros((B, n, d.d_u)) if coeffs is None
+                 else coeffs.act(t, delta, agg, y, alpha))
             u_bar = alpha @ u / n
 
         # stage cost two ways
@@ -235,22 +177,20 @@ def _run_batch(model: TeamModel, prep: _Prepared, bank: dict,
             direct += _quad_each(u, R) + _quad(u_bar, R_bar)
             split += _quad(u_bar, R + R_bar) \
                 + _quad_each(u - a3 * u_bar[:, None, :], R)
-        residual_max = max(residual_max, float(
-            (np.abs(direct - split) / np.maximum(1.0, np.abs(direct))).max()))
+        residual_max = float(np.maximum(residual_max, (
+            np.abs(direct - split) / np.maximum(1.0, np.abs(direct))).max()))
         stage_costs[:, t] = direct
 
         if keep:
             hist["x"].append(x[:keep].copy())
             hist["y"].append(y[:keep].copy())
-            if has_filter:
+            if coeffs is not None:
                 hist["delta"].append(delta[:keep].copy())
                 hist["agg"].append(
-                    (np.broadcast_to(prep.plan.mean[t], (keep, d.d_x)) if is_mf
-                     else agg[:keep]).copy())
+                    np.broadcast_to(agg, (B, d.d_x))[:keep].copy())
             if not last:
                 hist["u"].append(u[:keep].copy())
 
-        # advance truth and estimator
         if not last:
             A, A_bar = model.A[t], model.A_bar[t]
             B_mat, B_bar = model.B[t], model.B_bar[t]
@@ -259,16 +199,13 @@ def _run_batch(model: TeamModel, prep: _Prepared, bank: dict,
             w_bar = alpha @ w / n
             shared_drift = x_bar @ A_bar.T + u_bar @ B_bar.T + w_bar @ E_bar.T
             x = x @ A.T + u @ B_mat.T + w @ E.T + a3 * shared_drift[:, None, :]
-            if has_filter:
-                if is_mf:
-                    du = u - a3 * prep.plan.u_bar[t][None, None, :]
-                else:
-                    du = u - a3 * u_bar[:, None, :]
-                delta = delta @ A.T + du @ B_mat.T
-            if has_glob:
-                agg = agg @ (A + A_bar).T + u_bar @ (B_mat + B_bar).T
+            if coeffs is not None:
+                delta, agg = predict_estimates(
+                    model, t, delta, agg, u,
+                    u_bar if plan is None else plan.u_bar[t])
 
-    traces = tuple(_assemble_trace(model, hist, stage_costs, b, has_filter)
+    traces = tuple(_assemble_trace(model, hist, stage_costs, b,
+                                   coeffs is not None)
                    for b in range(keep))
     return RolloutBatch(
         costs=stage_costs.sum(axis=1),
@@ -303,34 +240,56 @@ def _assemble_trace(model: TeamModel, hist: dict, stage_costs: np.ndarray,
     )
 
 
-def _chunk_job(args) -> RolloutBatch:
-    model, kind, seed, start, stop, keep = args
-    prep = _prepare(model, kind)
+def _chunk_job(args) -> list[RolloutBatch]:
+    """Rollouts [start, stop) of every prepared strategy on one noise bank."""
+    model, preps, seed, start, stop, keep = args
     bank = _noise_bank(model, seed, start, stop)
-    return _run_batch(model, prep, bank, keep_traces=keep)
-
-
-def _paired_chunk_job(args) -> tuple[np.ndarray, np.ndarray]:
-    model, kind_a, kind_b, seed, start, stop = args
-    bank = _noise_bank(model, seed, start, stop)
-    out = []
-    for kind in (kind_a, kind_b):
-        out.append(_run_batch(model, _prepare(model, kind), bank).costs)
-    return out[0], out[1]
+    return [_run_batch(model, prep, bank, keep_traces=keep) for prep in preps]
 
 
 def _merge(batches: list[RolloutBatch]) -> RolloutBatch:
+    costs = np.concatenate([b.costs for b in batches])
+    bad = int(np.count_nonzero(~np.isfinite(costs)))
+    if bad:
+        raise NonFiniteCostError(
+            f"{bad} of {costs.size} rollouts have a non-finite cost")
     return RolloutBatch(
-        costs=np.concatenate([b.costs for b in batches]),
+        costs=costs,
         stage_costs=np.concatenate([b.stage_costs for b in batches]),
         ms_correction=np.concatenate([b.ms_correction for b in batches]),
-        residual_max=max(b.residual_max for b in batches),
+        residual_max=float(np.max([b.residual_max for b in batches])),
         traces=tuple(t for b in batches for t in b.traces),
     )
 
 
 def _chunked(total: int, chunk: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+
+
+def _run_strategies(model: TeamModel, kinds: tuple[StrategyKind, ...],
+                    seed: int, n_rollouts: int, chunk: int, workers: int,
+                    keep_traces: int = 0) -> list[RolloutBatch]:
+    """Run every strategy on the same rollouts, one batch per strategy.
+
+    Each strategy is prepared once; each chunk draws its noise once and
+    steps every strategy through it.
+    """
+    if n_rollouts <= 0:
+        raise ValueError("n_rollouts must be positive")
+    preps = [_prepare(model, kind) for kind in kinds]
+    jobs = [(model, preps, seed, lo, hi, max(0, min(keep_traces - lo, hi - lo)))
+            for lo, hi in _chunked(n_rollouts, chunk)]
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_chunk_job, jobs))
+    else:
+        parts = [_chunk_job(job) for job in jobs]
+    return [_merge([part[i] for part in parts]) for i in range(len(kinds))]
+
+
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    se = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
+    return float(values.mean()), se
 
 
 def run_rollouts(model: TeamModel, kind: StrategyKind, seed: int = 0,
@@ -341,17 +300,8 @@ def run_rollouts(model: TeamModel, kind: StrategyKind, seed: int = 0,
     Traces are kept for the first ``keep_traces`` rollout indices only; cost
     and correction arrays always cover every rollout.
     """
-    if n_rollouts <= 0:
-        raise ValueError("n_rollouts must be positive")
-    spans = _chunked(n_rollouts, chunk)
-    jobs = [(model, kind, seed, lo, hi, max(0, min(keep_traces - lo, hi - lo)))
-            for lo, hi in spans]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_chunk_job, jobs))
-    else:
-        batches = [_chunk_job(job) for job in jobs]
-    return _merge(batches)
+    return _run_strategies(model, (kind,), seed, n_rollouts, chunk, workers,
+                           keep_traces)[0]
 
 
 def rollout(model: TeamModel, kind: StrategyKind, seed: int = 0,
@@ -359,7 +309,7 @@ def rollout(model: TeamModel, kind: StrategyKind, seed: int = 0,
     """One fully recorded rollout at the given index of the seed's stream."""
     prep = _prepare(model, kind)
     bank = _noise_bank(model, seed, index, index + 1)
-    return _run_batch(model, prep, bank, keep_traces=1).traces[0]
+    return _merge([_run_batch(model, prep, bank, keep_traces=1)]).traces[0]
 
 
 def evaluate_cost(model: TeamModel, kind: StrategyKind, seed: int = 0,
@@ -388,17 +338,9 @@ def paired_cost_gap(model: TeamModel, kind_a: StrategyKind, kind_b: StrategyKind
     Both strategies run on the identical noise bank rollout by rollout, so
     the difference has far less variance than two independent estimates.
     """
-    spans = _chunked(n_rollouts, chunk)
-    jobs = [(model, kind_a, kind_b, seed, lo, hi) for lo, hi in spans]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_paired_chunk_job, jobs))
-    else:
-        parts = [_paired_chunk_job(job) for job in jobs]
-    diff = np.concatenate([a for a, _ in parts]) - np.concatenate(
-        [b for _, b in parts])
-    se = float(diff.std(ddof=1) / np.sqrt(diff.size)) if diff.size > 1 else 0.0
-    return float(diff.mean()), se
+    a, b = _run_strategies(model, (kind_a, kind_b), seed, n_rollouts, chunk,
+                           workers)
+    return _mean_se(a.costs - b.costs)
 
 
 @dataclass(frozen=True)
@@ -438,8 +380,9 @@ def convergence_experiment(model: TeamModel, n_list: tuple[int, ...],
     size: the exact posterior covariance of the aggregate estimate, the
     Monte Carlo mean of the summed squared aggregate-filter corrections
     under the optimal strategy, and the paired common-noise cost excess of
-    the mean-field strategy over the optimal one.  Log-log slopes near -1
-    are the expected signature.
+    the mean-field strategy over the optimal one; the corrections are read
+    from the optimal pass of that paired run.  Log-log slopes near -1 are
+    the expected signature.
     """
     from .model import resize_team
     from .oracle import exact_cost
@@ -449,10 +392,10 @@ def convergence_experiment(model: TeamModel, n_list: tuple[int, ...],
         sized = resize_team(model, n)
         glob = precompute_global(sized)
         max_sigma = float(np.abs(glob.Sigma_post).max())
-        batch = run_rollouts(sized, Optimal(), seed=seed, n_rollouts=rollouts,
-                             workers=workers)
-        gap, se = paired_cost_gap(sized, MeanField(), Optimal(), seed=seed,
-                                  n_rollouts=rollouts, workers=workers)
+        meanfield, optimal = _run_strategies(
+            sized, (MeanField(), Optimal()), seed, rollouts, DEFAULT_CHUNK,
+            workers)
+        gap, se = _mean_se(meanfield.costs - optimal.costs)
         if n * sized.dims.d_x <= oracle_cap:
             exact_gap = (exact_cost(sized, MeanField(), cap=oracle_cap)
                          - exact_cost(sized, Optimal(), cap=oracle_cap))
@@ -461,7 +404,7 @@ def convergence_experiment(model: TeamModel, n_list: tuple[int, ...],
         rows.append(ConvergenceRow(
             n=n,
             max_sigma_bar=max_sigma,
-            ms_correction=float(batch.ms_correction.mean()),
+            ms_correction=float(optimal.ms_correction.mean()),
             cost_gap=gap,
             gap_se=se,
             exact_gap=exact_gap,

@@ -1,41 +1,75 @@
 """Action rules for the team: optimal, mean-field, zero, and custom linear.
 
-The optimal rule feeds each agent's combined estimate through the deviation
-gain and the shared aggregate estimate through the gain difference.  The
-mean-field rule is the same control law with the aggregate estimate replaced
-by its offline-computable deterministic trajectory, which frees agents from
-needing the aggregated observations at run time; each agent then tracks its
-deviation with a private filter driven only by its own observations.
+Every rule that acts is a CustomLinear rule on two estimates per agent.  The
+optimal rule is the member that feeds each agent's combined estimate through
+the deviation gain and the shared aggregate estimate through the gain
+difference.  The mean-field rule is the same law with the aggregate estimate
+replaced by its offline-computable deterministic trajectory, which frees
+agents from needing the aggregated observations at run time; each agent then
+tracks its deviation with a private filter driven only by its own
+observations.  A strategy's ``prepare`` solves, once per model, everything
+it acts with.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .errors import NoActionError
-from .filters import EstimatorState, LocalFilterSchedule
+from .filters import (
+    GlobalFilterSchedule,
+    LocalFilterSchedule,
+    precompute_global,
+    precompute_local,
+)
 from .model import TeamModel
-from .riccati import RiccatiPass
+from .riccati import RiccatiPass, solve_riccati
+
+
+@dataclass(frozen=True)
+class Prepared:
+    """What a strategy acts with, solved once per model.
+
+    ``coeffs`` is None for a rule that carries no estimator.  ``glob`` is
+    None when the aggregate estimate is replaced by the planned path in
+    ``plan``, which is None otherwise.
+    """
+
+    coeffs: Optional[CustomLinear]
+    local: Optional[LocalFilterSchedule]
+    glob: Optional[GlobalFilterSchedule]
+    plan: Optional[MeanFieldPlan]
 
 
 @dataclass(frozen=True)
 class ZeroAction:
     """Play zero at every stage."""
 
+    def prepare(self, model: TeamModel) -> Prepared:
+        return Prepared(None, None, None, None)
+
 
 @dataclass(frozen=True)
 class Optimal:
     """Certainty-equivalent rule on the two decentralized filters."""
 
+    def prepare(self, model: TeamModel) -> Prepared:
+        return Prepared(optimal_coefficients(solve_riccati(model), model),
+                        precompute_local(model), precompute_global(model), None)
+
 
 @dataclass(frozen=True)
 class MeanField:
     """Optimal rule with the aggregate estimate replaced by its planned path."""
+
+    def prepare(self, model: TeamModel) -> Prepared:
+        gains = solve_riccati(model)
+        return Prepared(optimal_coefficients(gains, model), precompute_local(model),
+                        None, meanfield_trajectory(model, gains))
 
 
 @dataclass(frozen=True)
@@ -81,6 +115,21 @@ class CustomLinear:
             omega=stack("omega", d.d_u, d.d_y),
         )
 
+    def prepare(self, model: TeamModel) -> Prepared:
+        return Prepared(self, precompute_local(model), precompute_global(model), None)
+
+    def act(self, t: int, delta: np.ndarray, agg: np.ndarray, y: np.ndarray,
+            alpha: np.ndarray) -> np.ndarray:
+        """Actions (B, n, d_u) at action stage t from a batch of updated
+        estimates ``delta`` (B, n, d_x), ``agg`` (B, d_x) or one planned
+        (d_x,) row, and current observations ``y`` (B, n, d_y)."""
+        a3 = alpha[None, :, None]
+        combined = delta + a3 * agg[..., None, :]
+        y_bar = alpha @ y / alpha.shape[0]
+        shared = agg @ self.phi[t].T + y_bar @ self.omega[t].T
+        return (combined @ self.theta[t].T + y @ self.psi[t].T
+                + a3 * shared[..., None, :])
+
 
 StrategyKind = Union[ZeroAction, Optimal, MeanField, CustomLinear]
 
@@ -119,39 +168,6 @@ def parse_strategy(text: str, model: TeamModel) -> StrategyKind:
     raise ValueError(f"unknown strategy {text!r}")
 
 
-def _require_action_stage(t: int, model: TeamModel, phase: str) -> None:
-    if phase != "updated":
-        raise ValueError("actions are computed from updated-phase estimates")
-    if t >= model.dims.T - 1:
-        raise NoActionError(f"no action is defined at the final stage t={t + 1}")
-
-
-def act_optimal(state: EstimatorState, gains: RiccatiPass, model: TeamModel) -> np.ndarray:
-    """Optimal decentralized actions at the state's stage, one row per agent."""
-    _require_action_stage(state.t, model, state.phase)
-    t = state.t
-    combined = state.delta_xhat + np.outer(model.alpha, state.agg_xhat)
-    correction = (gains.gain_agg[t] - gains.gain[t]) @ state.agg_xhat
-    return combined @ gains.gain[t].T + np.outer(model.alpha, correction)
-
-
-def act_custom(
-    kind: CustomLinear,
-    state: EstimatorState,
-    y: np.ndarray,
-    model: TeamModel,
-) -> np.ndarray:
-    """Actions of a CustomLinear rule from estimates and current observations."""
-    _require_action_stage(state.t, model, state.phase)
-    t = state.t
-    y = np.asarray(y, dtype=float)
-    y_bar = model.alpha @ y / model.dims.n
-    combined = state.delta_xhat + np.outer(model.alpha, state.agg_xhat)
-    u = combined @ kind.theta[t].T + y @ kind.psi[t].T
-    u += np.outer(model.alpha, kind.phi[t] @ state.agg_xhat + kind.omega[t] @ y_bar)
-    return u
-
-
 # ---------------------------------------------------------------------------
 # Mean-field strategy
 
@@ -162,15 +178,6 @@ class MeanFieldPlan:
 
     mean: np.ndarray
     u_bar: np.ndarray
-
-
-@dataclass(frozen=True)
-class MeanFieldState:
-    """Private deviation estimates of the mean-field filter."""
-
-    delta_xhat: np.ndarray
-    t: int
-    phase: Literal["predicted", "updated"]
 
 
 def meanfield_trajectory(model: TeamModel, gains: RiccatiPass) -> MeanFieldPlan:
@@ -185,55 +192,3 @@ def meanfield_trajectory(model: TeamModel, gains: RiccatiPass) -> MeanFieldPlan:
         B_all = model.B[t] + model.B_bar[t]
         mean[t + 1] = A_all @ mean[t] + B_all @ u_bar[t]
     return MeanFieldPlan(mean=mean, u_bar=u_bar)
-
-
-def meanfield_init(model: TeamModel) -> MeanFieldState:
-    scale = 1.0 - model.alpha * model.alpha_mean
-    return MeanFieldState(delta_xhat=np.outer(scale, model.mu_x), t=0, phase="predicted")
-
-
-def meanfield_update(
-    state: MeanFieldState,
-    y: np.ndarray,
-    plan: MeanFieldPlan,
-    model: TeamModel,
-    local: LocalFilterSchedule,
-) -> MeanFieldState:
-    """Absorb private observations, with the aggregate channel replaced by the plan."""
-    if state.phase != "predicted":
-        raise ValueError("meanfield_update needs a predicted-phase state")
-    t = state.t
-    C_all = model.C[t] + model.C_bar[t]
-    centered = np.asarray(y, dtype=float) - np.outer(model.alpha, C_all @ plan.mean[t])
-    dev = centered - state.delta_xhat @ model.C[t].T
-    return replace(state, delta_xhat=state.delta_xhat + dev @ local.gain[t].T, phase="updated")
-
-
-def meanfield_predict(
-    state: MeanFieldState,
-    u: np.ndarray,
-    plan: MeanFieldPlan,
-    model: TeamModel,
-) -> MeanFieldState:
-    """Advance the private filters using own actions and the planned aggregate action."""
-    if state.phase != "updated":
-        raise ValueError("meanfield_predict needs an updated-phase state")
-    t = state.t
-    if t + 1 >= model.dims.T:
-        raise ValueError(f"no stage beyond t={t + 1} in a horizon of {model.dims.T}")
-    delta_u = np.asarray(u, dtype=float) - np.outer(model.alpha, plan.u_bar[t])
-    delta = state.delta_xhat @ model.A[t].T + delta_u @ model.B[t].T
-    return MeanFieldState(delta_xhat=delta, t=t + 1, phase="predicted")
-
-
-def act_meanfield(
-    state: MeanFieldState,
-    plan: MeanFieldPlan,
-    gains: RiccatiPass,
-    model: TeamModel,
-) -> np.ndarray:
-    """Mean-field actions: deviation feedback plus the planned aggregate feedback."""
-    _require_action_stage(state.t, model, state.phase)
-    t = state.t
-    planned = gains.gain_agg[t] @ plan.mean[t]
-    return state.delta_xhat @ gains.gain[t].T + np.outer(model.alpha, planned)

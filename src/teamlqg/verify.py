@@ -15,15 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import (
-    combined_agent_estimate,
-    init_state,
-    measurement_update,
-    precompute_global,
-    precompute_local,
-    step,
-    team_error_covariance,
-)
+from .filters import precompute_global, precompute_local, team_error_covariance
 from .model import TeamModel, make_model
 from .oracle import build_joint_model, centralized_filter, exact_cost
 from .random_models import random_team
@@ -105,30 +97,20 @@ def _random_rule(model: TeamModel, rng: np.random.Generator) -> CustomLinear:
     )
 
 
-def _decentralized_run(model: TeamModel, y: np.ndarray, u: np.ndarray):
-    """Post-update combined estimates along a recorded trajectory."""
-    local = precompute_local(model)
-    glob = precompute_global(model)
-    state, _ = measurement_update(init_state(model), y[0], model, local, glob)
-    out = [combined_agent_estimate(state.delta_xhat, state.agg_xhat, model.alpha)]
-    for t in range(model.T - 1):
-        state, _ = step(state, u[t], y[t + 1], model, local, glob)
-        out.append(combined_agent_estimate(state.delta_xhat, state.agg_xhat,
-                                           model.alpha))
-    return np.stack(out)
-
-
 def check_one_model(model: TeamModel, kind: StrategyKind,
                     seed: int) -> tuple[float, float, float]:
-    """Max deviations (estimates, covariances, cost split) for one model."""
+    """Max deviations (estimates, covariances, cost split) for one model.
+
+    The simulator's recorded estimates are held against the centralized
+    filter run on the same observations and actions.
+    """
     batch = run_rollouts(model, kind, seed=seed, n_rollouts=4, keep_traces=1)
     trace = batch.traces[0]
     d = model.dims
-    combined = _decentralized_run(model, trace.y, trace.u)
     run = centralized_filter(build_joint_model(model), trace.y, trace.u)
     joint_means = run.mean_post.reshape(d.T, d.n, d.d_x)
     scale = max(1.0, float(np.abs(joint_means).max()))
-    est_dev = float(np.abs(combined - joint_means).max()) / scale
+    est_dev = float(np.abs(trace.combined_xhat - joint_means).max()) / scale
 
     local = precompute_local(model)
     glob = precompute_global(model)

@@ -87,26 +87,31 @@ def direct_estimate_recursion(model, local, glob, y, u):
 
 
 def run_decentralized_filters(model, y, u):
-    """Drive the production deviation/aggregate filters along a trajectory.
+    """Drive the production batched filter update and predict along one
+    trajectory, as a batch of one.
 
     Returns the post-update components stacked over stages:
     (deltas (T, n, d_x), aggregates (T, d_x)).
     """
     from teamlqg.filters import (
-        init_state,
-        measurement_update,
         precompute_global,
         precompute_local,
-        step,
+        predict_estimates,
+        prior_estimates,
+        update_estimates,
     )
 
     local = precompute_local(model)
     glob = precompute_global(model)
-    state, _ = measurement_update(init_state(model), y[0], model, local, glob)
-    deltas = [state.delta_xhat]
-    aggs = [state.agg_xhat]
-    for t in range(model.T - 1):
-        state, _ = step(state, u[t], y[t + 1], model, local, glob)
-        deltas.append(state.delta_xhat)
-        aggs.append(state.agg_xhat)
+    delta, agg = prior_estimates(model, 1)
+    deltas, aggs = [], []
+    for t in range(model.T):
+        delta, agg, _ = update_estimates(model, local, glob, t, delta, agg,
+                                         y[t][None])
+        deltas.append(delta[0])
+        aggs.append(agg[0])
+        if t + 1 < model.T:
+            u_t = u[t][None]
+            delta, agg = predict_estimates(model, t, delta, agg, u_t,
+                                           model.alpha @ u_t / model.n)
     return np.stack(deltas), np.stack(aggs)

@@ -1,13 +1,16 @@
 """End-to-end command-line behavior in temporary directories."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from teamlqg import save_model
+import teamlqg
+from teamlqg import make_model, save_model
 from teamlqg.cli import main
 from teamlqg.riccati import riccati_from_json_dict, solve_riccati
 from teamlqg.sim import rollout, run_rollouts
@@ -126,6 +129,18 @@ def test_unobservable_model_is_numerical_failure(tmp_path):
                  "--out", str(tmp_path / "pre")]) == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_cost_is_numerical_failure(tmp_path, capsys):
+    # the uncontrolled state overflows, so costs are inf or nan, never printed
+    path = tmp_path / "exploding.json"
+    save_model(make_model(T=40, n=2, A=1e10, B=1, C=1, Q=1, R=1, Sigma_x=1,
+                          Sigma_w=1, Sigma_v=1, mu_x=1), path)
+    assert main(["simulate", "--model", str(path), "--strategy", "zero",
+                 "--rollouts", "20", "--workers", "1",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "non-finite cost" in capsys.readouterr().err
+
+
 def test_verify_subcommand_with_roundtrip(model_file, tmp_path, capsys):
     pre = tmp_path / "pre"
     assert main(["precompute", "--model", model_file, "--out", str(pre)]) == 0
@@ -169,7 +184,11 @@ def test_convergence_rejects_nonuniform_model(tmp_path):
 
 
 def test_module_entry_point_reports_version():
+    # the child finds the package where this process found it, installed or not
+    src = str(Path(teamlqg.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-m", "teamlqg.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip()

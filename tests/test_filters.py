@@ -1,4 +1,6 @@
-"""Deviation/aggregate filter schedules, stepping, and structural identities."""
+"""Deviation/aggregate filter schedules, batched stepping, and structural identities."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,23 +9,21 @@ from teamlqg import SingularInnovationError, make_model, normalize_influence, re
 from teamlqg.filters import (
     combined_agent_estimate,
     global_schedule_from_json_dict,
-    global_step,
-    init_state,
-    innovations,
     local_schedule_from_json_dict,
-    local_step,
-    measurement_update,
-    merge_components,
     precompute_global,
     precompute_local,
+    prior_estimates,
     schedule_to_json_dict,
-    step,
     team_error_covariance,
-    time_predict,
+    update_estimates,
 )
 from teamlqg.random_models import random_team
 from conftest import scalar_pair_model
-from reference import direct_estimate_recursion, simulate_truth
+from reference import (
+    direct_estimate_recursion,
+    run_decentralized_filters,
+    simulate_truth,
+)
 
 
 def test_local_schedule_scalar_values(model_s1):
@@ -53,93 +53,62 @@ def test_global_schedule_coupled_values(model_s2):
 
 def test_prior_state_respects_influence():
     model = scalar_pair_model(alpha=normalize_influence((1.0, 2.0)), mu_x=1.0)
-    state = init_state(model)
+    delta, agg = prior_estimates(model, 3)
+    assert delta.shape == (3, 2, 1) and agg.shape == (3, 1)
     a_mean = float(np.sum(model.alpha)) / 2
-    np.testing.assert_allclose(state.agg_xhat, [a_mean])
-    np.testing.assert_allclose(
-        state.delta_xhat[:, 0], 1.0 - model.alpha * a_mean
-    )
+    np.testing.assert_allclose(agg[2], [a_mean])
+    np.testing.assert_allclose(delta[2, :, 0], 1.0 - model.alpha * a_mean)
     # weighted deviations cancel
-    assert abs(model.alpha @ state.delta_xhat[:, 0]) < 1e-12
-    assert state.t == 0 and state.phase == "predicted"
+    assert abs(model.alpha @ delta[2, :, 0]) < 1e-12
+
+
+def _first_update(model, y, local=None, glob=None):
+    local = precompute_local(model) if local is None else local
+    glob = precompute_global(model) if glob is None else glob
+    delta, agg = prior_estimates(model, 1)
+    return update_estimates(model, local, glob, 0, delta, agg, np.asarray(y)[None])
 
 
 def test_innovation_reference_values(model_s1):
-    state = init_state(model_s1)
-    rec = innovations(state, np.array([[2.0], [4.0]]), model_s1)
-    np.testing.assert_allclose(rec.raw, [[2.0], [4.0]])
-    np.testing.assert_allclose(rec.agg, [3.0])
-    np.testing.assert_allclose(rec.dev, [[-1.0], [1.0]])
+    # through unit gains the update adds the innovations themselves: their
+    # weighted average to the aggregate, the remainder to the deviations
+    local, glob = precompute_local(model_s1), precompute_global(model_s1)
+    local = replace(local, gain=np.ones_like(local.gain))
+    glob = replace(glob, gain=np.ones_like(glob.gain))
+    delta, agg, correction = _first_update(model_s1, [[2.0], [4.0]], local, glob)
+    np.testing.assert_allclose(correction, [[3.0]])
+    np.testing.assert_allclose(agg, [[3.0]])
+    np.testing.assert_allclose(delta[0], [[-1.0], [1.0]])
+    np.testing.assert_allclose(delta[0] + np.outer(model_s1.alpha, agg[0]),
+                               [[2.0], [4.0]])
 
 
 def test_first_update_reference_values(model_s1):
-    local = precompute_local(model_s1)
-    glob = precompute_global(model_s1)
-    state = init_state(model_s1)
-    state, rec = measurement_update(state, np.array([[2.0], [4.0]]), model_s1, local, glob)
-    assert state.phase == "updated"
-    np.testing.assert_allclose(state.delta_xhat, [[-0.5], [0.5]])
-    np.testing.assert_allclose(state.agg_xhat, [1.5])
+    delta, agg, _ = _first_update(model_s1, [[2.0], [4.0]])
+    np.testing.assert_allclose(delta[0], [[-0.5], [0.5]])
+    np.testing.assert_allclose(agg[0], [1.5])
     # uncoupled scalar team: the combined estimate is the standalone filter 0.5 y
-    combined = combined_agent_estimate(state.delta_xhat, state.agg_xhat, model_s1.alpha)
+    combined = combined_agent_estimate(delta[0], agg[0], model_s1.alpha)
     np.testing.assert_allclose(combined, [[1.0], [2.0]])
 
 
 def test_first_aggregate_update_value(model_s1):
-    local = precompute_local(model_s1)
-    glob = precompute_global(model_s1)
-    state, _ = measurement_update(
-        init_state(model_s1), np.array([[2.0], [2.0]]), model_s1, local, glob
-    )
-    np.testing.assert_allclose(state.agg_xhat, [1.0])
+    _, agg, _ = _first_update(model_s1, [[2.0], [2.0]])
+    np.testing.assert_allclose(agg[0], [1.0])
 
 
-def test_phase_and_horizon_guards(model_s1):
-    local = precompute_local(model_s1)
-    glob = precompute_global(model_s1)
-    state = init_state(model_s1)
-    with pytest.raises(ValueError):
-        time_predict(state, np.zeros((2, 1)), model_s1)  # not updated yet
-    state, _ = measurement_update(state, np.zeros((2, 1)), model_s1, local, glob)
-    with pytest.raises(ValueError):
-        measurement_update(state, np.zeros((2, 1)), model_s1, local, glob)
-    state2, _ = step(state, np.zeros((2, 1)), np.zeros((2, 1)), model_s1, local, glob)
-    assert state2.t == 1
-    with pytest.raises(ValueError):
-        time_predict(state2, np.zeros((2, 1)), model_s1)  # horizon exhausted
-
-
-def test_deviation_precondition_enforced(model_s1):
-    local = precompute_local(model_s1)
-    glob = precompute_global(model_s1)
-    state, _ = measurement_update(
-        init_state(model_s1), np.zeros((2, 1)), model_s1, local, glob
-    )
-    with pytest.raises(ValueError):
-        local_step(state, np.array([[1.0], [1.0]]), np.zeros((2, 1)), local, model_s1)
-
-
-def test_component_steps_compose_to_full_step():
-    rng = np.random.default_rng(314)
-    for _ in range(6):
-        model = random_team(rng, T=5)
-        data = simulate_truth(model, rng)
-        local = precompute_local(model)
-        glob = precompute_global(model)
-        state, _ = measurement_update(init_state(model), data["y"][0], model, local, glob)
-        for t in range(model.T - 1):
-            u = data["u"][t]
-            full, _ = step(state, u, data["y"][t + 1], model, local, glob)
-            delta_u = u - np.outer(model.alpha, model.alpha @ u / model.n)
-            y_next = data["y"][t + 1]
-            y_bar_next = model.alpha @ y_next / model.n
-            delta_y_next = y_next - np.outer(model.alpha, y_bar_next)
-            half_l = local_step(state, delta_u, delta_y_next, local, model)
-            half_g = global_step(state, model.alpha @ u / model.n, y_bar_next, glob, model)
-            merged = merge_components(half_l, half_g)
-            np.testing.assert_allclose(merged.delta_xhat, full.delta_xhat, atol=1e-12)
-            np.testing.assert_allclose(merged.agg_xhat, full.agg_xhat, atol=1e-12)
-            state = full
+def test_update_projects_deviations_onto_gauge():
+    # a weighted-mean component in the deviation rows, which no innovation
+    # corrects, is removed by the update rather than carried forward
+    rng = np.random.default_rng(12)
+    model = random_team(rng, T=3)
+    d = model.dims
+    delta, agg = prior_estimates(model, 4)
+    delta += rng.normal(size=(4, 1, d.d_x))
+    y = rng.normal(size=(4, d.n, d.d_y))
+    out, _, _ = update_estimates(model, precompute_local(model),
+                                 precompute_global(model), 0, delta, agg, y)
+    assert np.abs(model.alpha @ out / d.n).max() <= 1e-12
 
 
 def test_deviation_estimates_stay_in_gauge():
@@ -147,14 +116,9 @@ def test_deviation_estimates_stay_in_gauge():
     for _ in range(5):
         model = random_team(rng, T=6)
         data = simulate_truth(model, rng)
-        local = precompute_local(model)
-        glob = precompute_global(model)
-        state, _ = measurement_update(init_state(model), data["y"][0], model, local, glob)
-        for t in range(model.T):
-            resid = model.alpha @ state.delta_xhat / model.n
-            assert np.max(np.abs(resid)) <= 1e-9
-            if t + 1 < model.T:
-                state, _ = step(state, data["u"][t], data["y"][t + 1], model, local, glob)
+        deltas, _ = run_decentralized_filters(model, data["y"], data["u"])
+        resid = np.einsum("i,tid->td", model.alpha, deltas) / model.n
+        assert np.max(np.abs(resid)) <= 1e-9
 
 
 def test_combined_estimate_matches_direct_recursion():
@@ -166,40 +130,31 @@ def test_combined_estimate_matches_direct_recursion():
         local = precompute_local(model)
         glob = precompute_global(model)
         direct = direct_estimate_recursion(model, local, glob, data["y"], data["u"])
-        state, _ = measurement_update(init_state(model), data["y"][0], model, local, glob)
+        deltas, aggs = run_decentralized_filters(model, data["y"], data["u"])
         for t in range(model.T):
-            ours = combined_agent_estimate(state.delta_xhat, state.agg_xhat, model.alpha)
+            ours = combined_agent_estimate(deltas[t], aggs[t], model.alpha)
             assert np.max(np.abs(ours - direct[t])) <= 1e-10
-            if t + 1 < model.T:
-                state, _ = step(state, data["u"][t], data["y"][t + 1], model, local, glob)
 
 
 def test_estimation_errors_ignore_the_strategy():
     # same noise, two very different action rules: identical filter errors
     rng = np.random.default_rng(5150)
     model = random_team(rng, T=6)
-    local = precompute_local(model)
-    glob = precompute_global(model)
 
-    def run_errors(action_fn, data):
-        state, _ = measurement_update(init_state(model), data["y"][0], model, local, glob)
-        errs = []
-        for t in range(model.T):
-            x_bar = model.alpha @ data["x"][t] / model.n
-            delta_x = data["x"][t] - np.outer(model.alpha, x_bar)
-            errs.append((delta_x - state.delta_xhat, x_bar - state.agg_xhat))
-            if t + 1 < model.T:
-                state, _ = step(state, data["u"][t], data["y"][t + 1], model, local, glob)
-        return errs
+    def run_errors(data):
+        deltas, aggs = run_decentralized_filters(model, data["y"], data["u"])
+        x_bar = np.einsum("i,tid->td", model.alpha, data["x"]) / model.n
+        delta_x = data["x"] - model.alpha[None, :, None] * x_bar[:, None, :]
+        return delta_x - deltas, x_bar - aggs
 
     seed = 77
     quiet = simulate_truth(model, np.random.default_rng(seed),
                            action_fn=lambda t, y, u: np.zeros((model.n, model.dims.d_u)))
     loud = simulate_truth(model, np.random.default_rng(seed),
                           action_fn=lambda t, y, u: 2.0 * y[-1] @ np.ones((model.dims.d_y, model.dims.d_u)))
-    for (dq, aq), (dl, al) in zip(run_errors(None, quiet), run_errors(None, loud)):
-        np.testing.assert_allclose(dq, dl, atol=1e-10)
-        np.testing.assert_allclose(aq, al, atol=1e-10)
+    (dq, aq), (dl, al) = run_errors(quiet), run_errors(loud)
+    np.testing.assert_allclose(dq, dl, atol=1e-10)
+    np.testing.assert_allclose(aq, al, atol=1e-10)
 
 
 def test_aggregate_covariance_scales_inversely_with_team_size():

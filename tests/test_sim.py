@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from teamlqg import make_model, validate
+from teamlqg import NonFiniteCostError, make_model, resize_team, sim, validate
+from teamlqg.filters import precompute_global, precompute_local
 from teamlqg.oracle import exact_cost
 from teamlqg.riccati import solve_riccati
 from teamlqg.sim import (
@@ -24,7 +25,7 @@ from teamlqg.strategy import (
 from teamlqg.random_models import random_team
 
 from conftest import scalar_pair_model
-from reference import run_decentralized_filters
+from reference import direct_estimate_recursion, run_decentralized_filters
 
 
 def test_rerun_is_bitwise_identical(model_s2):
@@ -52,7 +53,9 @@ def test_worker_pool_matches_inline(model_s2):
 
 
 def test_engine_matches_stepwise_filters():
-    """The vectorized estimator agrees with the one-trajectory stepping code."""
+    """The kernel drives the shared update and predict exactly as a
+    one-trajectory loop does, and agrees with the loop-based per-agent
+    recursion in original coordinates."""
     rng = np.random.default_rng(5150)
     for _ in range(4):
         model = random_team(rng)
@@ -60,6 +63,12 @@ def test_engine_matches_stepwise_filters():
         deltas, aggs = run_decentralized_filters(model, trace.y, trace.u)
         assert np.abs(trace.delta_xhat - deltas).max() <= 1e-12
         assert np.abs(trace.agg_xhat - aggs).max() <= 1e-12
+        direct = direct_estimate_recursion(
+            model, precompute_local(model), precompute_global(model),
+            trace.y, trace.u)
+        assert np.abs(trace.combined_xhat - direct).max() <= 1e-10
+        agg_direct = np.einsum("i,tid->td", model.alpha, direct) / model.n
+        assert np.abs(trace.agg_xhat - agg_direct).max() <= 1e-10
 
 
 def test_trace_actions_follow_gain_schedule(model_s2):
@@ -101,6 +110,35 @@ def test_mc_mean_matches_exact_cost(model_s1, model_s2):
         target = exact_cost(model, kind)
         assert abs(est.mean - target) <= 5.0 * est.stderr
         assert est.residual_max <= 1e-9
+
+
+@pytest.mark.parametrize("T, rollouts", [(200, 200), (2000, 32)])
+def test_long_unstable_horizon_matches_exact_cost(T, rollouts):
+    """Open-loop-unstable dynamics over long horizons: the deviation rows'
+    weighted mean, which no innovation corrects, must not drift."""
+    model = make_model(T=T, n=3, A=1.3, A_bar=0.2, B=1, C=1, C_bar=0.3, Q=1,
+                       R=1e-6, Sigma_v=1e-8, Sigma_w=1, Sigma_x=1, mu_x=1)
+    base = optimal_coefficients(solve_riccati(model), model)
+    detuned = CustomLinear(theta=0.9 * base.theta, phi=base.phi,
+                           psi=base.psi + 0.05, omega=base.omega)
+    for kind in (Optimal(), detuned, MeanField()):
+        est = evaluate_cost(model, kind, seed=1, n_rollouts=rollouts)
+        target = exact_cost(model, kind)
+        assert abs(est.mean - target) <= 5.0 * est.stderr, type(kind).__name__
+        assert est.residual_max <= 1e-9
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_costs_are_reported_not_returned():
+    model = make_model(T=40, n=2, A=1e10, B=1, C=1, Q=1, R=1, Sigma_x=1,
+                       Sigma_w=1, Sigma_v=1, mu_x=1)
+    batch = sim._run_batch(model, sim._prepare(model, ZeroAction()),
+                           sim._noise_bank(model, 0, 0, 4))
+    assert np.isnan(batch.residual_max)
+    with pytest.raises(NonFiniteCostError):
+        run_rollouts(model, ZeroAction(), n_rollouts=4)
+    with pytest.raises(NonFiniteCostError):
+        rollout(model, ZeroAction())
 
 
 def test_cost_split_residual_stays_tiny():
@@ -182,6 +220,15 @@ def test_convergence_scaling():
             base.n * base.max_sigma_bar, rel=1e-12)
         assert row.cost_gap > 3.0 * row.gap_se
         assert abs(row.cost_gap - row.exact_gap) <= 4.0 * row.gap_se
+
+
+def test_convergence_reuses_the_paired_optimal_pass():
+    model = benchmark_convergence_model()
+    res = convergence_experiment(model, (4, 8), rollouts=300, seed=5)
+    for row in res.rows:
+        alone = run_rollouts(resize_team(model, row.n), Optimal(), seed=5,
+                             n_rollouts=300)
+        assert row.ms_correction == float(alone.ms_correction.mean())
 
 
 def test_run_rollouts_rejects_bad_count(model_s1):

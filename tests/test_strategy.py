@@ -5,28 +5,22 @@ import json
 import numpy as np
 import pytest
 
-from teamlqg import NoActionError, deep_aggregate
+from teamlqg import deep_aggregate
 from teamlqg.filters import (
-    init_state,
-    measurement_update,
     precompute_global,
     precompute_local,
-    step,
+    prior_estimates,
+    update_estimates,
 )
 from teamlqg.random_models import random_team
 from teamlqg.riccati import solve_riccati
+from teamlqg.sim import rollout
 from teamlqg.strategy import (
     CustomLinear,
     MeanField,
     Optimal,
     ZeroAction,
-    act_custom,
-    act_meanfield,
-    act_optimal,
-    meanfield_init,
-    meanfield_predict,
     meanfield_trajectory,
-    meanfield_update,
     optimal_coefficients,
     parse_strategy,
 )
@@ -34,68 +28,64 @@ from conftest import scalar_pair_model
 from reference import simulate_truth
 
 
-def _updated_state(model, y):
-    local = precompute_local(model)
-    glob = precompute_global(model)
-    state, _ = measurement_update(init_state(model), y, model, local, glob)
-    return state
+def _updated_estimates(model, y):
+    """Estimates after the first update, as a batch of one."""
+    delta, agg = prior_estimates(model, 1)
+    delta, agg, _ = update_estimates(model, precompute_local(model),
+                                     precompute_global(model), 0, delta, agg,
+                                     np.asarray(y)[None])
+    return delta, agg
 
 
 def test_optimal_action_reference_value(model_s1):
-    gains = solve_riccati(model_s1)
-    state = _updated_state(model_s1, np.array([[2.0], [4.0]]))
-    u = act_optimal(state, gains, model_s1)
+    coeffs = optimal_coefficients(solve_riccati(model_s1), model_s1)
+    y = np.array([[2.0], [4.0]])
+    delta, agg = _updated_estimates(model_s1, y)
+    u = coeffs.act(0, delta, agg, y[None], model_s1.alpha)
     # estimate is half the observation and the gain is -1/2: u = -y/4
-    np.testing.assert_allclose(u, [[-0.5], [-1.0]])
+    np.testing.assert_allclose(u[0], [[-0.5], [-1.0]])
 
 
 def test_no_action_at_final_stage(model_s1):
-    gains = solve_riccati(model_s1)
-    local = precompute_local(model_s1)
-    glob = precompute_global(model_s1)
-    state, _ = measurement_update(
-        init_state(model_s1), np.zeros((2, 1)), model_s1, local, glob
-    )
-    state, _ = step(state, np.zeros((2, 1)), np.zeros((2, 1)), model_s1, local, glob)
-    with pytest.raises(NoActionError):
-        act_optimal(state, gains, model_s1)
+    # actions exist at stages 1..T-1 only; the last stage costs the state alone
+    for kind in (ZeroAction(), Optimal(), MeanField()):
+        trace = rollout(model_s1, kind, seed=3)
+        assert trace.u.shape == (model_s1.T - 1, model_s1.n, 1)
+        np.testing.assert_allclose(trace.stage_cost[-1],
+                                   np.mean(trace.x[-1] ** 2), atol=1e-15)
 
 
 def test_aggregate_action_identity():
     # the weighted average of optimal actions is the aggregate gain on the
     # aggregate estimate; deviation terms cancel through the gauge constraint
     rng = np.random.default_rng(42)
-    for _ in range(6):
+    for index in range(6):
         model = random_team(rng, T=5)
         gains = solve_riccati(model)
-        local = precompute_local(model)
-        glob = precompute_global(model)
-        data = simulate_truth(model, rng)
-        state, _ = measurement_update(init_state(model), data["y"][0], model, local, glob)
+        trace = rollout(model, Optimal(), seed=42, index=index)
         for t in range(model.T - 1):
-            u = act_optimal(state, gains, model)
-            u_bar = deep_aggregate(u, model.alpha)
+            u_bar = deep_aggregate(trace.u[t], model.alpha)
             np.testing.assert_allclose(
-                u_bar, gains.gain_agg[t] @ state.agg_xhat, atol=1e-10
+                u_bar, gains.gain_agg[t] @ trace.agg_xhat[t], atol=1e-10
             )
-            state, _ = step(state, u, data["y"][t + 1], model, local, glob)
 
 
 def test_custom_linear_contains_the_optimal_rule():
+    # the optimal rule acts through its CustomLinear coefficients, and the
+    # actions are the gain schedule applied to the two estimates
     rng = np.random.default_rng(43)
-    for _ in range(5):
+    for index in range(5):
         model = random_team(rng, T=4)
         gains = solve_riccati(model)
-        kind = optimal_coefficients(gains, model)
-        local = precompute_local(model)
-        glob = precompute_global(model)
-        data = simulate_truth(model, rng)
-        state, _ = measurement_update(init_state(model), data["y"][0], model, local, glob)
+        trace = rollout(model, Optimal(), seed=43, index=index)
+        custom = rollout(model, optimal_coefficients(gains, model), seed=43,
+                         index=index)
+        np.testing.assert_array_equal(custom.u, trace.u)
         for t in range(model.T - 1):
-            u_opt = act_optimal(state, gains, model)
-            u_custom = act_custom(kind, state, data["y"][t], model)
-            np.testing.assert_allclose(u_custom, u_opt, atol=1e-12)
-            state, _ = step(state, u_opt, data["y"][t + 1], model, local, glob)
+            expected = (trace.delta_xhat[t] @ gains.gain[t].T
+                        + np.outer(model.alpha,
+                                   gains.gain_agg[t] @ trace.agg_xhat[t]))
+            np.testing.assert_allclose(trace.u[t], expected, atol=1e-12)
 
 
 def test_custom_linear_aggregate_is_publicly_computable():
@@ -109,11 +99,11 @@ def test_custom_linear_aggregate_is_publicly_computable():
         psi=rng.normal(size=(d.T - 1, d.d_u, d.d_y)),
         omega=rng.normal(size=(d.T - 1, d.d_u, d.d_y)),
     )
-    data = simulate_truth(model, rng)
-    state = _updated_state(model, data["y"][0])
-    u = act_custom(kind, state, data["y"][0], model)
-    y_bar = deep_aggregate(data["y"][0], model.alpha)
-    public = (kind.theta[0] + kind.phi[0]) @ state.agg_xhat + (kind.psi[0] + kind.omega[0]) @ y_bar
+    y = simulate_truth(model, rng)["y"][0]
+    delta, agg = _updated_estimates(model, y)
+    u = kind.act(0, delta, agg, y[None], model.alpha)[0]
+    y_bar = deep_aggregate(y, model.alpha)
+    public = (kind.theta[0] + kind.phi[0]) @ agg[0] + (kind.psi[0] + kind.omega[0]) @ y_bar
     np.testing.assert_allclose(deep_aggregate(u, model.alpha), public, atol=1e-10)
 
 
@@ -133,35 +123,13 @@ def test_meanfield_equals_optimal_without_coupling():
     # zero-mean uncoupled teams: the planned aggregate is zero, the private
     # filters match the exact ones, and both rules produce identical actions
     rng = np.random.default_rng(45)
-    for _ in range(5):
+    for index in range(5):
         model = random_team(rng, coupling=0.0, zero_mean=True, T=5)
-        gains = solve_riccati(model)
-        local = precompute_local(model)
-        glob = precompute_global(model)
-        plan = meanfield_trajectory(model, gains)
+        plan = meanfield_trajectory(model, solve_riccati(model))
         assert np.all(plan.mean == 0.0)
-        data = simulate_truth(model, rng)
-        state, _ = measurement_update(init_state(model), data["y"][0], model, local, glob)
-        mf = meanfield_update(meanfield_init(model), data["y"][0], plan, model, local)
-        for t in range(model.T - 1):
-            u_opt = act_optimal(state, gains, model)
-            u_mf = act_meanfield(mf, plan, gains, model)
-            np.testing.assert_allclose(u_mf, u_opt, atol=1e-9)
-            state, _ = step(state, u_opt, data["y"][t + 1], model, local, glob)
-            mf = meanfield_update(
-                meanfield_predict(mf, u_opt, plan, model), data["y"][t + 1], plan, model, local
-            )
-
-
-def test_meanfield_phase_guards(model_s1):
-    local = precompute_local(model_s1)
-    plan = meanfield_trajectory(model_s1, solve_riccati(model_s1))
-    state = meanfield_init(model_s1)
-    with pytest.raises(ValueError):
-        meanfield_predict(state, np.zeros((2, 1)), plan, model_s1)
-    state = meanfield_update(state, np.zeros((2, 1)), plan, model_s1, local)
-    with pytest.raises(ValueError):
-        meanfield_update(state, np.zeros((2, 1)), plan, model_s1, local)
+        opt = rollout(model, Optimal(), seed=45, index=index)
+        mf = rollout(model, MeanField(), seed=45, index=index)
+        np.testing.assert_allclose(mf.u, opt.u, atol=1e-9)
 
 
 def test_parse_strategy(model_s1, tmp_path):
