@@ -1,12 +1,16 @@
 """Centralized oracle: joint model, textbook filter, exact costs, brute force.
 
 Everything here deliberately ignores the decentralized structure.  The team
-is flattened into one big linear-Gaussian system (agent-major stacking), a
-standard Kalman filter conditions on all observations at once, and expected
-costs are computed by propagating first and second moments of the closed
-loop formed by a strategy together with its estimator internals.  These
-routines are the independent ground truth the decentralized modules are
-checked against, so none of them may reuse the decentralized recursions.
+is flattened into one big linear-Gaussian system (agent-major stacking) and
+a standard Kalman filter conditions on all observations at once.  Expected
+costs are computed by propagating the mean and covariance of the closed
+loop formed by a strategy together with its estimator internals.  Every
+team matrix there has the form I (x) X + (terms in 1 and alpha) (x) Y, so
+the loop is propagated on an orthonormal basis of span{1, alpha} plus one
+agent for the orthogonal complement, counted n - r times in the cost: at
+most three virtual agents, whatever n is.  These routines are the
+independent ground truth the decentralized modules are checked against, so
+none of them may reuse the decentralized recursions.
 """
 
 from __future__ import annotations
@@ -35,7 +39,12 @@ DEFAULT_JOINT_CAP = 64
 
 @dataclass(frozen=True)
 class JointModel:
-    """The team flattened to one linear-Gaussian system of n * d_x states."""
+    """The team flattened to one linear-Gaussian system, agent-major.
+
+    ``build_joint_model`` gives all n * d_x states; ``exact_cost`` uses the
+    same layout over the virtual agents of ``_Team.reduced``.  ``dims``
+    always describes the model.
+    """
 
     dims: Dimensions
     A: np.ndarray
@@ -62,37 +71,101 @@ class JointFilterRun:
     gain: np.ndarray
 
 
+@dataclass(frozen=True)
+class _Team:
+    """The agents a system is assembled over: the whole team, or the reduced
+    team the exact cost propagates.
+
+    ``alpha`` and ``ones`` are the influence vector and the all-ones vector
+    in these agents' coordinates, ``weight`` counts how many real agents
+    each one stands for in the cost, and ``n`` is the real team size, which
+    every 1/n average keeps.
+    """
+
+    n: int
+    alpha: np.ndarray
+    ones: np.ndarray
+    weight: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.alpha.shape[0]
+
+    @classmethod
+    def full(cls, model: TeamModel) -> "_Team":
+        """Every agent of the team, in its own coordinates."""
+        n = model.n
+        return cls(n, model.alpha, np.ones(n), np.ones(n))
+
+    @classmethod
+    def reduced(cls, model: TeamModel) -> "_Team":
+        """An orthonormal basis of span{1, alpha} plus one complement agent.
+
+        With u1 = 1 / sqrt(n) and u2 = (alpha - mean) / |alpha - mean| the
+        coordinates of 1 are (sqrt(n), 0) and those of alpha are
+        (mean * sqrt(n), |alpha - mean|); u2 is dropped when alpha is
+        uniform.  Every team matrix acts on the orthogonal complement as
+        I (x) X, and neither the mean nor any offset has a component there,
+        so its n - r agents are independent copies of one zero-mean agent
+        with no influence, counted n - r times in the cost.
+        """
+        n = model.n
+        root = np.sqrt(n)
+        spread = float(np.linalg.norm(model.alpha - model.alpha_mean))
+        alpha, ones = [model.alpha_mean * root], [root]
+        if spread > 0.0:
+            alpha.append(spread)
+            ones.append(0.0)
+        weight = [1.0] * len(ones)
+        if n > len(ones):
+            weight.append(float(n - len(ones)))
+            alpha.append(0.0)
+            ones.append(0.0)
+        return cls(n, np.array(alpha), np.array(ones), np.array(weight))
+
+
+def _kron_stack(P: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``np.kron(P, X[t])`` for every t of a stack X of shape (T, a, b)."""
+    T, a, b = X.shape
+    p, q = P.shape
+    return np.einsum("ij,tkl->tikjl", P, X).reshape(T, p * a, q * b)
+
+
 def build_joint_model(model: TeamModel, cap: int = DEFAULT_JOINT_CAP) -> JointModel:
     """Assemble the joint system, refusing team sizes beyond ``cap`` states."""
     d = model.dims
-    n = d.n
-    if n * d.d_x > cap:
+    if d.n * d.d_x > cap:
         raise JointSizeError(
-            f"joint model needs {n * d.d_x} states, above the cap of {cap}"
+            f"joint model needs {d.n * d.d_x} states, above the cap of {cap}"
         )
-    eye = np.eye(n)
-    W = np.outer(model.alpha, model.alpha) / n
+    return _assemble(model, _Team.full(model))
 
-    def couple(local: np.ndarray, shared: np.ndarray) -> np.ndarray:
-        return np.kron(eye, local) + np.kron(W, shared)
 
-    T = d.T
-    A = np.stack([couple(model.A[t], model.A_bar[t]) for t in range(T)])
-    B = np.stack([couple(model.B[t], model.B_bar[t]) for t in range(T)])
-    E = np.stack([couple(model.E[t], model.E_bar[t]) for t in range(T)])
-    C = np.stack([couple(model.C[t], model.C_bar[t]) for t in range(T)])
-    S = np.stack([couple(model.S[t], model.S_bar[t]) for t in range(T)])
-    Qx = np.stack([(np.kron(eye, model.Q[t]) + np.kron(W, model.Q_bar[t])) / n
-                   for t in range(T)])
-    Ru = np.stack([(np.kron(eye, model.R[t]) + np.kron(W, model.R_bar[t])) / n
-                   for t in range(T)])
+def _assemble(model: TeamModel, team: _Team) -> JointModel:
+    """The linear-Gaussian system of ``team``'s agents, stacked agent-major.
+
+    The cost matrices count each agent ``team.weight`` times.
+    """
+    eye = np.eye(team.size)
+    W = np.outer(team.alpha, team.alpha) / team.n
+    counts = np.diag(team.weight)
+
+    def couple(local: np.ndarray, shared: np.ndarray, own=eye) -> np.ndarray:
+        return _kron_stack(own, local) + _kron_stack(W, shared)
+
     return JointModel(
-        dims=d,
-        A=A, B=B, E=E, C=C, S=S, Qx=Qx, Ru=Ru,
-        mu=np.tile(model.mu_x, n),
+        dims=model.dims,
+        A=couple(model.A, model.A_bar),
+        B=couple(model.B, model.B_bar),
+        E=couple(model.E, model.E_bar),
+        C=couple(model.C, model.C_bar),
+        S=couple(model.S, model.S_bar),
+        Qx=couple(model.Q, model.Q_bar, counts) / team.n,
+        Ru=couple(model.R, model.R_bar, counts) / team.n,
+        mu=np.kron(team.ones, model.mu_x),
         Sigma_x=np.kron(eye, model.Sigma_x),
-        Sigma_w=np.stack([np.kron(eye, model.Sigma_w[t]) for t in range(T)]),
-        Sigma_v=np.stack([np.kron(eye, model.Sigma_v[t]) for t in range(T)]),
+        Sigma_w=_kron_stack(eye, model.Sigma_w),
+        Sigma_v=_kron_stack(eye, model.Sigma_v),
     )
 
 
@@ -137,7 +210,8 @@ def centralized_filter(joint: JointModel, y: np.ndarray, u: np.ndarray) -> Joint
 
 @dataclass
 class _StageMaps:
-    """Affine maps of one stage: action from (s, y), internal transition."""
+    """Affine maps of every action stage, stacked on a leading stage axis:
+    action from (s, y), internal transition."""
 
     K_s: np.ndarray
     K_y: np.ndarray
@@ -148,217 +222,214 @@ class _StageMaps:
     f: np.ndarray
 
 
-def _estimator_update_maps(model: TeamModel, local, glob, t: int):
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``M[t] @ v[t]`` for every stage t."""
+    return np.einsum("tij,tj->ti", M, v)
+
+
+def _spread(alpha: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.kron(alpha, v[t])`` for every stage t."""
+    return (alpha[None, :, None] * v[:, None, :]).reshape(v.shape[0], -1)
+
+
+def _mean_maps(team: _Team, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(proj, G): remove the weighted mean of k-vectors, and take it."""
+    W = np.outer(team.alpha, team.alpha) / team.n
+    proj = np.eye(team.size * k) - np.kron(W, np.eye(k))
+    return proj, np.kron(team.alpha[None, :] / team.n, np.eye(k))
+
+
+def _estimator_update_maps(model: TeamModel, team: _Team, local, glob):
     """Affine update of the internal state sigma = [deviations; aggregate].
 
-    Returns (U_s, U_y) with sigma_post = U_s s_pred + U_y y.  The aggregate
-    row subtracts the weighted mean of the deviation block, as the stepping
-    code does.  The stepping code then projects the deviation rows back onto
-    the constraint ``alpha @ delta / n == 0`` and this map does not, so the
-    two agree on the constraint manifold, which every reachable state lies
-    on, and differ off it.
+    Returns stacks (U_s, U_y) over the action stages, with
+    sigma_post = U_s s_pred + U_y y.  The aggregate row subtracts the
+    weighted mean of the deviation block, as the stepping code does.  The
+    stepping code then projects the deviation rows back onto the constraint
+    ``alpha @ delta / n == 0`` and this map does not, so the two agree on
+    the constraint manifold, which every reachable state lies on, and
+    differ off it.
     """
     d = model.dims
-    n = d.n
-    eye = np.eye(n)
-    alpha = model.alpha
-    L = local.gain[t]
-    Lg = glob.gain[t]
-    C = model.C[t]
-    C_all = C + model.C_bar[t]
-    proj_y = np.eye(n * d.d_y) - np.kron(np.outer(alpha, alpha) / n, np.eye(d.d_y))
-    G_y = np.kron(alpha[None, :] / n, np.eye(d.d_y))
-
-    ds = n * d.d_x + d.d_x
-    U_s = np.zeros((ds, ds))
-    U_y = np.zeros((ds, n * d.d_y))
-    nd = n * d.d_x
-    U_s[:nd, :nd] = np.eye(nd) - np.kron(eye, L @ C)
-    U_y[:nd, :] = np.kron(eye, L) @ proj_y
+    S = d.T - 1
+    eye = np.eye(team.size)
+    proj_y, G_y = _mean_maps(team, d.d_y)
+    L = local.gain[:S]
+    Lg = glob.gain[:S]
+    C = model.C[:S]
+    C_all = C + model.C_bar[:S]
+    nd = team.size * d.d_x
     # aggregate update: innovation = y_bar - C_all z - C (weighted mean of deviations)
-    U_s[nd:, :nd] = -Lg @ np.kron(alpha[None, :] / n, C)
-    U_s[nd:, nd:] = np.eye(d.d_x) - Lg @ C_all
-    U_y[nd:, :] = Lg @ G_y
+    U_s = np.block([
+        [np.eye(nd) - _kron_stack(eye, L @ C), np.zeros((S, nd, d.d_x))],
+        [-Lg @ _kron_stack(team.alpha[None, :] / team.n, C),
+         np.eye(d.d_x) - Lg @ C_all],
+    ])
+    U_y = np.block([[_kron_stack(eye, L) @ proj_y], [Lg @ G_y]])
     return U_s, U_y
 
 
-def _estimator_transition_maps(model: TeamModel, t: int):
-    """Affine transition (T_s, T_u): next predicted sigma from (sigma_post, u)."""
+def _estimator_transition_maps(model: TeamModel, team: _Team):
+    """Affine transition stacks (T_s, T_u): next predicted sigma from
+    (sigma_post, u)."""
     d = model.dims
-    n = d.n
-    eye = np.eye(n)
-    alpha = model.alpha
-    nd = n * d.d_x
-    ds = nd + d.d_x
-    T_s = np.zeros((ds, ds))
-    T_u = np.zeros((ds, n * d.d_u))
-    proj_u = np.eye(n * d.d_u) - np.kron(np.outer(alpha, alpha) / n, np.eye(d.d_u))
-    G_u = np.kron(alpha[None, :] / n, np.eye(d.d_u))
-    T_s[:nd, :nd] = np.kron(eye, model.A[t])
-    T_s[nd:, nd:] = model.A[t] + model.A_bar[t]
-    T_u[:nd, :] = np.kron(eye, model.B[t]) @ proj_u
-    T_u[nd:, :] = (model.B[t] + model.B_bar[t]) @ G_u
+    S = d.T - 1
+    eye = np.eye(team.size)
+    proj_u, G_u = _mean_maps(team, d.d_u)
+    A, B = model.A[:S], model.B[:S]
+    nd = team.size * d.d_x
+    T_s = np.block([
+        [_kron_stack(eye, A), np.zeros((S, nd, d.d_x))],
+        [np.zeros((S, d.d_x, nd)), A + model.A_bar[:S]],
+    ])
+    T_u = np.block([[_kron_stack(eye, B) @ proj_u], [(B + model.B_bar[:S]) @ G_u]])
     return T_s, T_u
 
 
-def _filtering_policy(model: TeamModel, coeffs: CustomLinear) -> tuple[np.ndarray, list[_StageMaps]]:
+def _filtering_policy(model: TeamModel, team: _Team,
+                      coeffs: CustomLinear) -> tuple[np.ndarray, _StageMaps]:
     """Closed-loop maps for any rule linear in (estimates, observations)."""
     d = model.dims
-    n = d.n
-    alpha = model.alpha
-    local = precompute_local(model)
-    glob = precompute_global(model)
+    S = d.T - 1
+    alpha = team.alpha[:, None]
+    eye = np.eye(team.size)
     a_mean = model.alpha_mean
     s0 = np.concatenate([
-        np.outer(1.0 - alpha * a_mean, model.mu_x).reshape(-1),
+        np.outer(team.ones - team.alpha * a_mean, model.mu_x).reshape(-1),
         a_mean * model.mu_x,
     ])
-    G_y = np.kron(alpha[None, :] / n, np.eye(d.d_y))
-    stages = []
-    for t in range(d.T - 1):
-        U_s, U_y = _estimator_update_maps(model, local, glob, t)
-        T_s, T_u = _estimator_transition_maps(model, t)
-        # action from sigma_post: deviation block and aggregate block
-        W_sigma = np.hstack([
-            np.kron(np.eye(n), coeffs.theta[t]),
-            np.kron(alpha[:, None], coeffs.theta[t] + coeffs.phi[t]),
-        ])
-        # direct observation terms: own observation plus the weighted average
-        D_y = np.kron(np.eye(n), coeffs.psi[t]) + np.kron(alpha[:, None], coeffs.omega[t]) @ G_y
-        stages.append(_StageMaps(
-            K_s=W_sigma @ U_s,
-            K_y=W_sigma @ U_y + D_y,
-            k=np.zeros(n * d.d_u),
-            F_s=T_s @ U_s,
-            F_y=T_s @ U_y,
-            F_u=T_u,
-            f=np.zeros(s0.shape[0]),
-        ))
-    return s0, stages
+    _, G_y = _mean_maps(team, d.d_y)
+    U_s, U_y = _estimator_update_maps(
+        model, team, precompute_local(model), precompute_global(model))
+    T_s, T_u = _estimator_transition_maps(model, team)
+    # action from sigma_post: deviation block and aggregate block
+    W_sigma = np.block([
+        _kron_stack(eye, coeffs.theta),
+        _kron_stack(alpha, coeffs.theta + coeffs.phi),
+    ])
+    # direct observation terms: own observation plus the weighted average
+    D_y = _kron_stack(eye, coeffs.psi) + _kron_stack(alpha, coeffs.omega) @ G_y
+    return s0, _StageMaps(
+        K_s=W_sigma @ U_s,
+        K_y=W_sigma @ U_y + D_y,
+        k=np.zeros((S, team.size * d.d_u)),
+        F_s=T_s @ U_s,
+        F_y=T_s @ U_y,
+        F_u=T_u,
+        f=np.zeros((S, s0.shape[0])),
+    )
 
 
-def _meanfield_policy(model: TeamModel) -> tuple[np.ndarray, list[_StageMaps]]:
+def _meanfield_policy(model: TeamModel, team: _Team) -> tuple[np.ndarray, _StageMaps]:
     """Closed-loop maps of the mean-field rule with its private filters."""
     d = model.dims
-    n = d.n
-    alpha = model.alpha
+    S = d.T - 1
+    alpha = team.alpha
     gains = solve_riccati(model)
-    local = precompute_local(model)
+    L = precompute_local(model).gain[:S]
     plan = meanfield_trajectory(model, gains)
     a_mean = model.alpha_mean
-    s0 = np.outer(1.0 - alpha * a_mean, model.mu_x).reshape(-1)
-    eye = np.eye(n)
-    stages = []
-    for t in range(d.T - 1):
-        L = local.gain[t]
-        C = model.C[t]
-        C_all = C + model.C_bar[t]
-        nd = n * d.d_x
-        U_s = np.eye(nd) - np.kron(eye, L @ C)
-        U_y = np.kron(eye, L)
-        c_upd = -np.kron(alpha, L @ C_all @ plan.mean[t])
-        gain_block = np.kron(eye, gains.gain[t])
-        K_s = gain_block @ U_s
-        K_y = gain_block @ U_y
-        k = gain_block @ c_upd + np.kron(alpha, gains.gain_agg[t] @ plan.mean[t])
-        A_block = np.kron(eye, model.A[t])
-        F_s = A_block @ U_s
-        F_y = A_block @ U_y
-        F_u = np.kron(eye, model.B[t])
-        f = A_block @ c_upd - np.kron(alpha, model.B[t] @ plan.u_bar[t])
-        stages.append(_StageMaps(K_s=K_s, K_y=K_y, k=k, F_s=F_s, F_y=F_y, F_u=F_u, f=f))
-    return s0, stages
+    s0 = np.outer(team.ones - alpha * a_mean, model.mu_x).reshape(-1)
+    eye = np.eye(team.size)
+    C = model.C[:S]
+    C_all = C + model.C_bar[:S]
+    mean = plan.mean[:S]
+    U_s = np.eye(team.size * d.d_x) - _kron_stack(eye, L @ C)
+    U_y = _kron_stack(eye, L)
+    c_upd = -_spread(alpha, _matvec(L @ C_all, mean))
+    gain_block = _kron_stack(eye, gains.gain)
+    A_block = _kron_stack(eye, model.A[:S])
+    return s0, _StageMaps(
+        K_s=gain_block @ U_s,
+        K_y=gain_block @ U_y,
+        k=_matvec(gain_block, c_upd) + _spread(alpha, _matvec(gains.gain_agg, mean)),
+        F_s=A_block @ U_s,
+        F_y=A_block @ U_y,
+        F_u=_kron_stack(eye, model.B[:S]),
+        f=_matvec(A_block, c_upd) - _spread(alpha, _matvec(model.B[:S], plan.u_bar)),
+    )
 
 
-def _zero_policy(model: TeamModel) -> tuple[np.ndarray, list[_StageMaps]]:
+def _zero_policy(model: TeamModel, team: _Team) -> tuple[np.ndarray, _StageMaps]:
     d = model.dims
-    n = d.n
-    s0 = np.zeros(0)
-    stages = [
-        _StageMaps(
-            K_s=np.zeros((n * d.d_u, 0)),
-            K_y=np.zeros((n * d.d_u, n * d.d_y)),
-            k=np.zeros(n * d.d_u),
-            F_s=np.zeros((0, 0)),
-            F_y=np.zeros((0, n * d.d_y)),
-            F_u=np.zeros((0, n * d.d_u)),
-            f=np.zeros(0),
-        )
-        for _ in range(d.T - 1)
-    ]
-    return s0, stages
+    S = d.T - 1
+    nu, ny = team.size * d.d_u, team.size * d.d_y
+    return np.zeros(0), _StageMaps(
+        K_s=np.zeros((S, nu, 0)),
+        K_y=np.zeros((S, nu, ny)),
+        k=np.zeros((S, nu)),
+        F_s=np.zeros((S, 0, 0)),
+        F_y=np.zeros((S, 0, ny)),
+        F_u=np.zeros((S, 0, nu)),
+        f=np.zeros((S, 0)),
+    )
 
 
-def _policy_maps(model: TeamModel, kind: StrategyKind) -> tuple[np.ndarray, list[_StageMaps]]:
+def _policy_maps(model: TeamModel, kind: StrategyKind,
+                 team: _Team) -> tuple[np.ndarray, _StageMaps]:
     if isinstance(kind, ZeroAction):
-        return _zero_policy(model)
+        return _zero_policy(model, team)
     if isinstance(kind, Optimal):
-        return _filtering_policy(model, optimal_coefficients(solve_riccati(model), model))
+        return _filtering_policy(
+            model, team, optimal_coefficients(solve_riccati(model), model))
     if isinstance(kind, MeanField):
-        return _meanfield_policy(model)
+        return _meanfield_policy(model, team)
     if isinstance(kind, CustomLinear):
-        return _filtering_policy(model, kind)
+        return _filtering_policy(model, team, kind)
     raise TypeError(f"unsupported strategy kind {kind!r}")
 
 
-def exact_cost(model: TeamModel, kind: StrategyKind, cap: int = DEFAULT_JOINT_CAP) -> float:
+def exact_cost(model: TeamModel, kind: StrategyKind) -> float:
     """Exact expected team cost of a strategy, by closed-loop moment propagation.
 
-    The augmented state is [joint states; estimator internals].  Means and
-    second moments are pushed through the affine closed loop stage by stage;
-    quadratic costs are traces against those moments, so no sampling is
-    involved anywhere.
+    The team is split into an orthonormal basis of span{1, alpha} and its
+    orthogonal complement (see ``_Team.reduced``), so the closed loop runs
+    on at most three virtual agents whatever n is.  The augmented state is
+    zeta = [their states; estimator internals], and u = K zeta + K_v v + k.
+    The closed loop zeta' = F zeta + G_w w + G_v v + f is built for every
+    stage at once; then the mean and covariance of zeta are pushed through
+    it stage by stage.  Quadratic costs are traces against those moments,
+    with the complement agent's blocks weighted by the number of real
+    agents it stands for, so no sampling is involved anywhere.
     """
-    joint = build_joint_model(model, cap=cap)
-    s0, stages = _policy_maps(model, kind)
-    d = model.dims
-    N = d.n * d.d_x
-    ds = s0.shape[0]
-    nz = N + ds
+    team = _Team.reduced(model)
+    system = _assemble(model, team)
+    s0, maps = _policy_maps(model, kind, team)
+    T = model.T
+    S = T - 1
+    N = system.mu.shape[0]
+    A, B, C, S_obs = system.A[:S], system.B[:S], system.C[:S], system.S[:S]
+    E, Sigma_v = system.E[:S], system.Sigma_v[:S]
 
-    m = np.concatenate([joint.mu, s0])
-    M = np.zeros((nz, nz))
-    M[:N, :N] = joint.Sigma_x
-    M += np.outer(m, m)
+    K = np.block([maps.K_y @ C, maps.K_s])
+    K_v = maps.K_y @ S_obs
+    noise_u = K_v @ Sigma_v @ K_v.transpose(0, 2, 1)
+    sig_y = maps.F_y + maps.F_u @ maps.K_y
+    F = np.block([
+        [A + B @ maps.K_y @ C, B @ maps.K_s],
+        [sig_y @ C, maps.F_s + maps.F_u @ maps.K_s],
+    ])
+    G_v = np.block([[B @ K_v], [sig_y @ S_obs]])
+    noise = G_v @ Sigma_v @ G_v.transpose(0, 2, 1)
+    noise[:, :N, :N] += E @ system.Sigma_w[:S] @ E.transpose(0, 2, 1)
+    f = np.block([_matvec(B, maps.k), maps.f + _matvec(maps.F_u, maps.k)])
 
+    nz = N + s0.shape[0]
+    m = np.concatenate([system.mu, s0])
+    P = np.zeros((nz, nz))
+    P[:N, :N] = system.Sigma_x
     total = 0.0
-    for t in range(d.T):
-        total += float(np.sum(joint.Qx[t] * M[:N, :N]))
-        if t >= d.T - 1:
+    for t in range(T):
+        x = m[:N]
+        total += float(np.sum(system.Qx[t] * P[:N, :N]) + x @ system.Qx[t] @ x)
+        if t == S:
             break
-        st = stages[t]
-        # u = K_zeta zeta + K_v v + k
-        K_zeta = np.hstack([st.K_y @ joint.C[t], st.K_s])
-        K_v = st.K_y @ joint.S[t]
-        Euu = (K_zeta @ M @ K_zeta.T
-               + K_v @ joint.Sigma_v[t] @ K_v.T
-               + K_zeta @ np.outer(m, st.k)
-               + np.outer(st.k, m) @ K_zeta.T
-               + np.outer(st.k, st.k))
-        total += float(np.sum(joint.Ru[t] * Euu))
-
-        # closed-loop transition of zeta = [x; s]
-        F = np.zeros((nz, nz))
-        F[:N, :N] = joint.A[t] + joint.B[t] @ st.K_y @ joint.C[t]
-        F[:N, N:] = joint.B[t] @ st.K_s
-        F[N:, :N] = (st.F_y + st.F_u @ st.K_y) @ joint.C[t]
-        F[N:, N:] = st.F_s + st.F_u @ st.K_s
-        G_w = np.zeros((nz, joint.Sigma_w[t].shape[0]))
-        G_w[:N, :] = joint.E[t]
-        G_v = np.zeros((nz, joint.Sigma_v[t].shape[0]))
-        G_v[:N, :] = joint.B[t] @ K_v
-        G_v[N:, :] = (st.F_y + st.F_u @ st.K_y) @ joint.S[t]
-        f = np.zeros(nz)
-        f[:N] = joint.B[t] @ st.k
-        f[N:] = st.f + st.F_u @ st.k
-
-        m_next = F @ m + f
-        M = (F @ M @ F.T
-             + G_w @ joint.Sigma_w[t] @ G_w.T
-             + G_v @ joint.Sigma_v[t] @ G_v.T
-             + F @ np.outer(m, f) + np.outer(f, m) @ F.T + np.outer(f, f))
-        M = 0.5 * (M + M.T)
-        m = m_next
+        u = K[t] @ m + maps.k[t]
+        Puu = K[t] @ P @ K[t].T + noise_u[t]
+        total += float(np.sum(system.Ru[t] * Puu) + u @ system.Ru[t] @ u)
+        P = F[t] @ P @ F[t].T + noise[t]
+        P = 0.5 * (P + P.T)
+        m = F[t] @ m + f[t]
     return total
 
 
@@ -408,7 +479,6 @@ def brute_force_optimize(
     model: TeamModel,
     starts: int = 16,
     seed: int = 0,
-    cap: int = DEFAULT_JOINT_CAP,
 ) -> BruteForceResult:
     """Minimize the exact cost over the CustomLinear class by multi-start descent.
 
@@ -420,9 +490,9 @@ def brute_force_optimize(
     d = model.dims
     stages = max(d.T - 1, 0)
     dim = 2 * stages * d.d_u * (d.d_x + d.d_y)
-    fun = lambda v: exact_cost(model, unpack_coefficients(v, model), cap=cap)
+    fun = lambda v: exact_cost(model, unpack_coefficients(v, model))
     if dim == 0:
-        cost = exact_cost(model, ZeroAction(), cap=cap)
+        cost = exact_cost(model, ZeroAction())
         return BruteForceResult(cost, unpack_coefficients(np.zeros(0), model), (cost,))
 
     rng = np.random.default_rng(seed)

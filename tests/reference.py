@@ -5,6 +5,8 @@ one agent and one step at a time, so the vectorized production code has an
 independent implementation to agree with.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 
@@ -115,3 +117,65 @@ def run_decentralized_filters(model, y, u):
             delta, agg = predict_estimates(model, t, delta, agg, u_t,
                                            model.alpha @ u_t / model.n)
     return np.stack(deltas), np.stack(aggs)
+
+
+def joint_exact_cost(model, kind):
+    """Exact expected cost by moment propagation on the full joint system.
+
+    The augmented state is [all n * d_x joint states; estimator internals of
+    every agent], with the stage maps built for the whole team, so this
+    cross-checks the reduced team the package propagates.
+    """
+    from teamlqg.oracle import _policy_maps, _Team, build_joint_model
+
+    d = model.dims
+    N = d.n * d.d_x
+    joint = build_joint_model(model, cap=N)
+    s0, maps = _policy_maps(model, kind, _Team.full(model))
+    ds = s0.shape[0]
+    nz = N + ds
+
+    m = np.concatenate([joint.mu, s0])
+    M = np.zeros((nz, nz))
+    M[:N, :N] = joint.Sigma_x
+    M += np.outer(m, m)
+
+    total = 0.0
+    for t in range(d.T):
+        total += float(np.sum(joint.Qx[t] * M[:N, :N]))
+        if t >= d.T - 1:
+            break
+        st = SimpleNamespace(**{key: value[t] for key, value in vars(maps).items()})
+        # u = K_zeta zeta + K_v v + k
+        K_zeta = np.hstack([st.K_y @ joint.C[t], st.K_s])
+        K_v = st.K_y @ joint.S[t]
+        Euu = (K_zeta @ M @ K_zeta.T
+               + K_v @ joint.Sigma_v[t] @ K_v.T
+               + K_zeta @ np.outer(m, st.k)
+               + np.outer(st.k, m) @ K_zeta.T
+               + np.outer(st.k, st.k))
+        total += float(np.sum(joint.Ru[t] * Euu))
+
+        # closed-loop transition of zeta = [x; s]
+        F = np.zeros((nz, nz))
+        F[:N, :N] = joint.A[t] + joint.B[t] @ st.K_y @ joint.C[t]
+        F[:N, N:] = joint.B[t] @ st.K_s
+        F[N:, :N] = (st.F_y + st.F_u @ st.K_y) @ joint.C[t]
+        F[N:, N:] = st.F_s + st.F_u @ st.K_s
+        G_w = np.zeros((nz, joint.Sigma_w[t].shape[0]))
+        G_w[:N, :] = joint.E[t]
+        G_v = np.zeros((nz, joint.Sigma_v[t].shape[0]))
+        G_v[:N, :] = joint.B[t] @ K_v
+        G_v[N:, :] = (st.F_y + st.F_u @ st.K_y) @ joint.S[t]
+        f = np.zeros(nz)
+        f[:N] = joint.B[t] @ st.k
+        f[N:] = st.f + st.F_u @ st.k
+
+        m_next = F @ m + f
+        M = (F @ M @ F.T
+             + G_w @ joint.Sigma_w[t] @ G_w.T
+             + G_v @ joint.Sigma_v[t] @ G_v.T
+             + F @ np.outer(m, f) + np.outer(f, m) @ F.T + np.outer(f, f))
+        M = 0.5 * (M + M.T)
+        m = m_next
+    return total

@@ -129,7 +129,7 @@ def test_unobservable_model_is_numerical_failure(tmp_path):
                  "--out", str(tmp_path / "pre")]) == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_cost_is_numerical_failure(tmp_path, capsys):
     # the uncontrolled state overflows, so costs are inf or nan, never printed
     path = tmp_path / "exploding.json"

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from teamlqg import JointSizeError
+from teamlqg import JointSizeError, make_model
 from teamlqg.filters import (
     combined_agent_estimate,
     precompute_global,
     precompute_local,
     team_error_covariance,
 )
+from teamlqg.model import normalize_influence, resize_team
 from teamlqg.oracle import (
+    _Team,
     brute_force_optimize,
     build_joint_model,
     centralized_filter,
@@ -21,10 +23,18 @@ from teamlqg.oracle import (
 )
 from teamlqg.random_models import random_team
 from teamlqg.riccati import solve_riccati
-from teamlqg.strategy import MeanField, Optimal, ZeroAction, optimal_coefficients
+from teamlqg.sim import benchmark_convergence_model
+from teamlqg.strategy import (
+    CustomLinear,
+    MeanField,
+    Optimal,
+    ZeroAction,
+    optimal_coefficients,
+)
+from teamlqg.verify import _random_rule
 
 from conftest import scalar_pair_model
-from reference import run_decentralized_filters, simulate_truth
+from reference import joint_exact_cost, run_decentralized_filters, simulate_truth
 
 
 def test_joint_assembly_uncoupled_pair(model_s1):
@@ -132,6 +142,78 @@ def test_exact_cost_coupled_pair(model_s2):
     assert j_opt == pytest.approx(6.041666666666666, abs=1e-12)
     assert j_mf == pytest.approx(6.5625, abs=1e-12)
     assert j_opt < j_mf < j_zero
+
+
+def _assert_matches_joint_propagation(model, rng):
+    """The reduced team's cost equals the full joint system's, every kind."""
+    for kind in (ZeroAction(), Optimal(), MeanField(), _random_rule(model, rng)):
+        reduced = exact_cost(model, kind)
+        joint = joint_exact_cost(model, kind)
+        assert reduced == pytest.approx(joint, rel=1e-10), type(kind).__name__
+
+
+def test_exact_cost_matches_joint_propagation_on_random_teams():
+    rng = np.random.default_rng(8080)
+    for _ in range(16):
+        _assert_matches_joint_propagation(random_team(rng), rng)
+
+
+def _two_state_team(rng, alpha):
+    """Every coupling term on, two states, inputs and outputs, nonzero mean."""
+    def mat(scale):
+        return scale * rng.normal(size=(2, 2))
+
+    def psd(floor):
+        g = rng.normal(size=(2, 2))
+        return g @ g.T + floor * np.eye(2)
+
+    return make_model(
+        T=4, alpha=alpha,
+        A=mat(0.5), A_bar=mat(0.2), B=mat(0.6), B_bar=mat(0.2),
+        E=mat(0.6), E_bar=mat(0.2), C=np.eye(2) + mat(0.2), C_bar=mat(0.2),
+        S=np.eye(2), S_bar=mat(0.05), Q=psd(0.5), Q_bar=0.3 * psd(0.0),
+        R=psd(0.5), R_bar=0.3 * psd(0.0), mu_x=rng.normal(size=2),
+        Sigma_x=psd(0.2), Sigma_w=psd(0.2), Sigma_v=psd(0.3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_exact_cost_matches_joint_propagation_signed_influence(n):
+    """Non-uniform signed influence: span{1, alpha} has two directions, and
+    at n = 2 no complement agent remains."""
+    rng = np.random.default_rng(n)
+    alpha = normalize_influence([1.0, -0.6, 1.4, -1.2, 0.8, 0.5, -1.5, 1.1][:n])
+    model = _two_state_team(rng, alpha)
+    assert _Team.reduced(model).size == min(n, 3)
+    _assert_matches_joint_propagation(model, rng)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_exact_cost_matches_joint_propagation_uniform_influence(n):
+    """Uniform influence: span{1, alpha} is one direction."""
+    rng = np.random.default_rng(100 + n)
+    model = _two_state_team(rng, np.ones(n))
+    assert _Team.reduced(model).size == 2
+    _assert_matches_joint_propagation(model, rng)
+
+
+def test_exact_cost_matches_joint_propagation_long_unstable_horizon():
+    model = make_model(T=200, n=3, A=1.3, A_bar=0.2, B=1, C=1, C_bar=0.3, Q=1,
+                       R=1e-6, Sigma_v=1e-8, Sigma_w=1, Sigma_x=1, mu_x=1)
+    base = optimal_coefficients(solve_riccati(model), model)
+    detuned = CustomLinear(theta=0.9 * base.theta, phi=base.phi,
+                           psi=base.psi + 0.05, omega=base.omega)
+    for kind in (ZeroAction(), Optimal(), detuned, MeanField()):
+        assert exact_cost(model, kind) == pytest.approx(
+            joint_exact_cost(model, kind), rel=1e-10), type(kind).__name__
+
+
+def test_exact_cost_of_a_million_agents():
+    """The cost does not grow with n, so a team of 10**6 costs no more."""
+    model = resize_team(benchmark_convergence_model(), 10**6)
+    j_opt = exact_cost(model, Optimal())
+    j_mf = exact_cost(model, MeanField())
+    assert np.isfinite(j_opt) and np.isfinite(j_mf)
+    assert j_opt <= j_mf
 
 
 def _structural_optimal_cost(model):

@@ -108,6 +108,7 @@ def test_mc_mean_matches_exact_cost(model_s1, model_s2):
                         (model_s2, Optimal()), (model_s2, MeanField())):
         est = evaluate_cost(model, kind, seed=17, n_rollouts=20_000)
         target = exact_cost(model, kind)
+        assert isinstance(est.stderr, float)
         assert abs(est.mean - target) <= 5.0 * est.stderr
         assert est.residual_max <= 1e-9
 
@@ -128,7 +129,7 @@ def test_long_unstable_horizon_matches_exact_cost(T, rollouts):
         assert est.residual_max <= 1e-9
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_costs_are_reported_not_returned():
     model = make_model(T=40, n=2, A=1e10, B=1, C=1, Q=1, R=1, Sigma_x=1,
                        Sigma_w=1, Sigma_v=1, mu_x=1)
