@@ -11,7 +11,10 @@ never stored as a second recursion.
 Schedules (covariances and gains) depend only on the model, so they are
 precomputed once.  Stepping is cheap linear algebra on top, batched over
 rollouts along a leading axis; the simulator and a single hand-driven
-trajectory use the same update and predict functions.
+trajectory use the same update and predict functions.  Stepping arrays are
+agent-last, ``(B, d, n)``: a stage matrix applies as ``M @ x``, an influence
+average is ``x @ alpha / n``, and ``alpha_i * z`` broadcasts along the
+contiguous agent axis.
 """
 
 from __future__ import annotations
@@ -110,10 +113,10 @@ def precompute_global(model: TeamModel) -> GlobalFilterSchedule:
 
 
 def prior_estimates(model: TeamModel, batch: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deviation (batch, n, d_x) and aggregate (batch, d_x) estimates before
+    """Deviation (batch, d_x, n) and aggregate (batch, d_x) estimates before
     the first observation."""
     a_mean = model.alpha_mean
-    delta = np.outer(1.0 - model.alpha * a_mean, model.mu_x)
+    delta = np.outer(model.mu_x, 1.0 - model.alpha * a_mean)
     return (np.broadcast_to(delta, (batch, *delta.shape)).copy(),
             np.broadcast_to(a_mean * model.mu_x, (batch, model.dims.d_x)).copy())
 
@@ -129,15 +132,15 @@ def update_estimates(
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Absorb stage t's observations into a batch of estimates.
 
-    ``delta`` (B, n, d_x) and ``agg`` (B, d_x) are the predicted estimates
-    and ``y`` (B, n, d_y) the observations; B = 1 covers one trajectory.
+    ``delta`` (B, d_x, n) and ``agg`` (B, d_x) are the predicted estimates
+    and ``y`` (B, d_y, n) the observations; B = 1 covers one trajectory.
     Returns the updated ``(delta, agg, correction)``, where ``correction``
     is the aggregate filter's update.
 
     Each agent's innovation splits into its influence-weighted average,
     which drives the aggregate filter, and the remainder, which drives the
     deviation filter.  The deviation rows are then projected back onto
-    ``alpha @ delta / n == 0``: no innovation ever corrects that component,
+    ``delta @ alpha / n == 0``: no innovation ever corrects that component,
     so without the projection its rounding error grows at the open-loop
     rate of A.
 
@@ -148,14 +151,15 @@ def update_estimates(
     """
     alpha = model.alpha
     n = alpha.shape[0]
-    a3 = alpha[None, :, None]
     C_all = model.C[t] + model.C_bar[t]
-    raw = y - (delta @ model.C[t].T + a3 * (agg @ C_all.T)[..., None, :])
+    raw = y - model.C[t] @ delta
+    raw -= (agg @ C_all.T)[..., None] * alpha
     if glob is None:
-        return delta + raw @ local.gain[t].T, agg, None
-    agg_innov = alpha @ raw / n
-    delta = delta + (raw - a3 * agg_innov[:, None, :]) @ local.gain[t].T
-    delta -= a3 * (alpha @ delta / n)[:, None, :]
+        return delta + local.gain[t] @ raw, agg, None
+    agg_innov = raw @ alpha / n
+    raw -= agg_innov[..., None] * alpha
+    delta = delta + local.gain[t] @ raw
+    delta -= (delta @ alpha / n)[..., None] * alpha
     correction = agg_innov @ glob.gain[t].T
     return delta, agg + correction, correction
 
@@ -170,11 +174,11 @@ def predict_estimates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance a batch of estimates through stage t's dynamics.
 
-    ``u`` (B, n, d_u) holds the applied actions and ``u_bar`` their
+    ``u`` (B, d_u, n) holds the applied actions and ``u_bar`` their
     influence-weighted average, or the planned one for mean-field filters.
     """
-    a3 = model.alpha[None, :, None]
-    delta = delta @ model.A[t].T + (u - a3 * u_bar[..., None, :]) @ model.B[t].T
+    dev_u = u - u_bar[..., None] * model.alpha
+    delta = model.A[t] @ delta + model.B[t] @ dev_u
     agg = (agg @ (model.A[t] + model.A_bar[t]).T
            + u_bar @ (model.B[t] + model.B_bar[t]).T)
     return delta, agg

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import JointSizeError
 from .filters import _checked_gain, precompute_global, precompute_local
@@ -487,6 +486,9 @@ def brute_force_optimize(
     finite differences of the exact cost, independent of any optimality
     theory being tested.
     """
+    # scipy.optimize is slow to import and only this search uses it
+    from scipy.optimize import minimize
+
     d = model.dims
     stages = max(d.T - 1, 0)
     dim = 2 * stages * d.d_u * (d.d_x + d.d_y)

@@ -7,6 +7,11 @@ Costs are therefore reproducible bit for bit, independent of batch size,
 worker count, or how many rollouts surround a given index.  Two strategies
 evaluated under the same master seed see identical noise, which makes paired
 cost comparisons sharp.
+
+The stepping kernel works agent-last: states, observations, actions,
+estimates and noise are (B, d, n) arrays, so every stage matrix applies as
+one stacked ``M @ x`` and agents are the contiguous axis.  Recorded traces
+are transposed once to the (T, n, d) layout of ``Trace``.
 """
 
 from __future__ import annotations
@@ -24,10 +29,11 @@ from .filters import (
     prior_estimates,
     update_estimates,
 )
-from .model import TeamModel
+from .model import Dimensions, TeamModel
 from .strategy import MeanField, Optimal, Prepared, StrategyKind
 
-DEFAULT_CHUNK = 2048
+MAX_CHUNK = 2048
+BANK_BUDGET = 256 * 2**20   # bytes of noise bank per chunk
 
 
 @dataclass(frozen=True)
@@ -90,28 +96,52 @@ def _cov_factor(sigma: np.ndarray) -> np.ndarray:
 
 
 def _noise_bank(model: TeamModel, seed: int, start: int, stop: int) -> dict:
-    """Draw the noise for rollouts [start, stop) in the canonical order."""
+    """Draw the noise for rollouts [start, stop) in the canonical order.
+
+    Each rollout takes one ``standard_normal`` draw, read as x1, then w stage
+    by stage, then v stage by stage, each block (n, d) in C order.  The bank
+    holds it agent-last: ``x1`` (B, d_x, n), ``w`` (T - 1, B, d_w, n) and
+    ``v`` (T, B, d_v, n), with each covariance factor applied once per stage
+    over the whole batch.
+    """
     d = model.dims
+    n, T = d.n, d.T
     B = stop - start
-    fac_x = _cov_factor(model.Sigma_x)
-    fac_w = [_cov_factor(model.Sigma_w[t]) for t in range(d.T - 1)]
-    fac_v = [_cov_factor(model.Sigma_v[t]) for t in range(d.T)]
-    x1 = np.empty((B, d.n, d.d_x))
-    w = np.empty((d.T - 1, B, d.n, d.d_w))
-    v = np.empty((d.T, B, d.n, d.d_v))
+    x1 = np.empty((B, d.d_x, n))
+    w = np.empty((T - 1, B, d.d_w, n))
+    v = np.empty((T, B, d.d_v, n))
+    k_x, k_w = n * d.d_x, (T - 1) * n * d.d_w
+    draw = np.empty(k_x + k_w + T * n * d.d_v)
     for b in range(B):
         gen = np.random.default_rng(np.random.SeedSequence((seed, start + b)))
-        x1[b] = model.mu_x + gen.standard_normal((d.n, d.d_x)) @ fac_x.T
-        for t in range(d.T - 1):
-            w[t, b] = gen.standard_normal((d.n, d.d_w)) @ fac_w[t].T
-        for t in range(d.T):
-            v[t, b] = gen.standard_normal((d.n, d.d_v)) @ fac_v[t].T
+        gen.standard_normal(out=draw)
+        x1[b] = draw[:k_x].reshape(n, d.d_x).T
+        w[:, b] = draw[k_x:k_x + k_w].reshape(T - 1, n, d.d_w).transpose(0, 2, 1)
+        v[:, b] = draw[k_x + k_w:].reshape(T, n, d.d_v).transpose(0, 2, 1)
+    np.matmul(_cov_factor(model.Sigma_x), x1, out=x1)
+    x1 += model.mu_x[:, None]
+    for t in range(T - 1):
+        np.matmul(_cov_factor(model.Sigma_w[t]), w[t], out=w[t])
+    for t in range(T):
+        np.matmul(_cov_factor(model.Sigma_v[t]), v[t], out=v[t])
     return {"x1": x1, "w": w, "v": v}
 
 
+def _bank_bytes_per_rollout(dims: Dimensions) -> int:
+    """Bytes of float64 noise one rollout holds in the bank."""
+    return 8 * dims.n * (dims.d_x + (dims.T - 1) * dims.d_w + dims.T * dims.d_v)
+
+
+def _default_chunk(dims: Dimensions) -> int:
+    """Rollouts per chunk: at most ``MAX_CHUNK``, with the chunk's noise
+    bank within ``BANK_BUDGET`` bytes; a rollout larger than the budget
+    still gets a chunk of one."""
+    return min(MAX_CHUNK, max(1, BANK_BUDGET // _bank_bytes_per_rollout(dims)))
+
+
 def _quad_each(vals: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Mean over agents of v^T M v, batched: (B, n, d) -> (B,)."""
-    return np.einsum("bnd,de,bne->b", vals, M, vals) / vals.shape[1]
+    """Mean over agents of v^T M v, batched: (B, d, n) -> (B,)."""
+    return np.einsum("bdn,bdn->b", M @ vals, vals) / vals.shape[-1]
 
 
 def _quad(vec: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -123,21 +153,21 @@ def _run_batch(model: TeamModel, prep: Prepared, bank: dict,
                keep_traces: int = 0) -> RolloutBatch:
     """Advance a batch of rollouts through the closed loop, vectorized.
 
-    Each stage runs update, action, cost and predict.  The team cost is
-    computed twice, directly and through the aggregate/deviation split, and
-    the worst relative disagreement is reported as ``residual_max``; a NaN
-    anywhere makes it NaN.  A diverging rollout overflows quietly: its
-    non-finite cost is what ``_merge`` reports.
+    Every array is agent-last, (B, d, n).  Each stage runs update, action,
+    cost and predict.  The team cost is computed twice, directly and through
+    the aggregate/deviation split, and the worst relative disagreement is
+    reported as ``residual_max``; a NaN anywhere makes it NaN.  A diverging
+    rollout overflows quietly: its non-finite cost is what ``_merge``
+    reports.
     """
     d = model.dims
     n, T = d.n, d.T
     alpha = model.alpha
-    a3 = alpha[None, :, None]
     coeffs, plan = prep.coeffs, prep.plan
     B = bank["x1"].shape[0]
     keep = min(keep_traces, B)
 
-    x = bank["x1"].copy()
+    x = bank["x1"]
     if coeffs is not None:
         delta, agg = prior_estimates(model, B)
 
@@ -148,12 +178,12 @@ def _run_batch(model: TeamModel, prep: Prepared, bank: dict,
                              ("x", "u", "y", "delta", "agg", "cost")}
 
     for t in range(T):
-        C, C_bar = model.C[t], model.C_bar[t]
-        S, S_bar = model.S[t], model.S_bar[t]
-        x_bar = alpha @ x / n
         v = bank["v"][t]
-        v_bar = alpha @ v / n
-        y = x @ C.T + v @ S.T + a3 * (x_bar @ C_bar.T + v_bar @ S_bar.T)[:, None, :]
+        x_bar = x @ alpha / n
+        v_bar = v @ alpha / n
+        y = model.C[t] @ x
+        y += model.S[t] @ v
+        y += (x_bar @ model.C_bar[t].T + v_bar @ model.S_bar[t].T)[..., None] * alpha
 
         if coeffs is not None:
             if plan is not None:
@@ -165,20 +195,20 @@ def _run_batch(model: TeamModel, prep: Prepared, bank: dict,
 
         last = t == T - 1
         if not last:
-            u = (np.zeros((B, n, d.d_u)) if coeffs is None
+            u = (np.zeros((B, d.d_u, n)) if coeffs is None
                  else coeffs.act(t, delta, agg, y, alpha))
-            u_bar = alpha @ u / n
+            u_bar = u @ alpha / n
 
         # stage cost two ways
         Q, Q_bar = model.Q[t], model.Q_bar[t]
         direct = _quad_each(x, Q) + _quad(x_bar, Q_bar)
         split = _quad(x_bar, Q + Q_bar) \
-            + _quad_each(x - a3 * x_bar[:, None, :], Q)
+            + _quad_each(x - x_bar[..., None] * alpha, Q)
         if not last:
             R, R_bar = model.R[t], model.R_bar[t]
             direct += _quad_each(u, R) + _quad(u_bar, R_bar)
             split += _quad(u_bar, R + R_bar) \
-                + _quad_each(u - a3 * u_bar[:, None, :], R)
+                + _quad_each(u - u_bar[..., None] * alpha, R)
         residual_max = float(np.maximum(residual_max, (
             np.abs(direct - split) / np.maximum(1.0, np.abs(direct))).max()))
         stage_costs[:, t] = direct
@@ -194,13 +224,14 @@ def _run_batch(model: TeamModel, prep: Prepared, bank: dict,
                 hist["u"].append(u[:keep].copy())
 
         if not last:
-            A, A_bar = model.A[t], model.A_bar[t]
-            B_mat, B_bar = model.B[t], model.B_bar[t]
-            E, E_bar = model.E[t], model.E_bar[t]
             w = bank["w"][t]
-            w_bar = alpha @ w / n
-            shared_drift = x_bar @ A_bar.T + u_bar @ B_bar.T + w_bar @ E_bar.T
-            x = x @ A.T + u @ B_mat.T + w @ E.T + a3 * shared_drift[:, None, :]
+            w_bar = w @ alpha / n
+            shared_drift = (x_bar @ model.A_bar[t].T + u_bar @ model.B_bar[t].T
+                            + w_bar @ model.E_bar[t].T)
+            x = model.A[t] @ x
+            x += model.B[t] @ u
+            x += model.E[t] @ w
+            x += shared_drift[..., None] * alpha
             if coeffs is not None:
                 delta, agg = predict_estimates(
                     model, t, delta, agg, u,
@@ -220,15 +251,21 @@ def _run_batch(model: TeamModel, prep: Prepared, bank: dict,
 
 def _assemble_trace(model: TeamModel, hist: dict, stage_costs: np.ndarray,
                     b: int, has_filter: bool) -> Trace:
+    """One rollout's record, transposed from the kernel's (d, n) stages to
+    the (T, n, d) layout of ``Trace``."""
     alpha = model.alpha
     n = model.n
-    x = np.stack([s[b] for s in hist["x"]])
-    y = np.stack([s[b] for s in hist["y"]])
-    u = (np.stack([s[b] for s in hist["u"]]) if hist["u"]
-         else np.zeros((0, n, model.dims.d_u)))
+
+    def agents(key):
+        return np.ascontiguousarray(
+            np.stack([s[b] for s in hist[key]]).transpose(0, 2, 1))
+
+    x = agents("x")
+    y = agents("y")
+    u = agents("u") if hist["u"] else np.zeros((0, n, model.dims.d_u))
     delta = agg = combined = err = None
     if has_filter:
-        delta = np.stack([s[b] for s in hist["delta"]])
+        delta = agents("delta")
         agg = np.stack([s[b] for s in hist["agg"]])
         combined = delta + alpha[None, :, None] * agg[:, None, :]
         err = x - combined
@@ -269,15 +306,18 @@ def _chunked(total: int, chunk: int) -> list[tuple[int, int]]:
 
 
 def _run_strategies(model: TeamModel, kinds: tuple[StrategyKind, ...],
-                    seed: int, n_rollouts: int, chunk: int, workers: int,
-                    keep_traces: int = 0) -> list[RolloutBatch]:
+                    seed: int, n_rollouts: int, chunk: Optional[int],
+                    workers: int, keep_traces: int = 0) -> list[RolloutBatch]:
     """Run every strategy on the same rollouts, one batch per strategy.
 
     Each strategy is prepared once; each chunk draws its noise once and
-    steps every strategy through it.
+    steps every strategy through it.  ``chunk`` None sizes chunks by
+    ``_default_chunk``.
     """
     if n_rollouts <= 0:
         raise ValueError("n_rollouts must be positive")
+    if chunk is None:
+        chunk = _default_chunk(model.dims)
     preps = [_prepare(model, kind) for kind in kinds]
     jobs = [(model, preps, seed, lo, hi, max(0, min(keep_traces - lo, hi - lo)))
             for lo, hi in _chunked(n_rollouts, chunk)]
@@ -295,7 +335,7 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def run_rollouts(model: TeamModel, kind: StrategyKind, seed: int = 0,
-                 n_rollouts: int = 1000, chunk: int = DEFAULT_CHUNK,
+                 n_rollouts: int = 1000, chunk: Optional[int] = None,
                  workers: int = 1, keep_traces: int = 0) -> RolloutBatch:
     """Simulate ``n_rollouts`` independent rollouts under one strategy.
 
@@ -315,7 +355,7 @@ def rollout(model: TeamModel, kind: StrategyKind, seed: int = 0,
 
 
 def evaluate_cost(model: TeamModel, kind: StrategyKind, seed: int = 0,
-                  n_rollouts: int = 1000, chunk: int = DEFAULT_CHUNK,
+                  n_rollouts: int = 1000, chunk: Optional[int] = None,
                   workers: int = 1) -> CostEstimate:
     """Monte Carlo estimate of the expected team cost with its standard error."""
     batch = run_rollouts(model, kind, seed=seed, n_rollouts=n_rollouts,
@@ -333,7 +373,7 @@ def evaluate_cost(model: TeamModel, kind: StrategyKind, seed: int = 0,
 
 def paired_cost_gap(model: TeamModel, kind_a: StrategyKind, kind_b: StrategyKind,
                     seed: int = 0, n_rollouts: int = 1000,
-                    chunk: int = DEFAULT_CHUNK,
+                    chunk: Optional[int] = None,
                     workers: int = 1) -> tuple[float, float]:
     """Mean and standard error of cost(a) - cost(b) under common noise.
 
@@ -398,7 +438,7 @@ def convergence_experiment(model: TeamModel, n_list: tuple[int, ...],
         glob = precompute_global(sized)
         max_sigma = float(np.abs(glob.Sigma_post).max())
         meanfield, optimal = _run_strategies(
-            sized, (MeanField(), Optimal()), seed, rollouts, DEFAULT_CHUNK,
+            sized, (MeanField(), Optimal()), seed, rollouts, None,
             workers)
         gap, se = _mean_se(meanfield.costs - optimal.costs)
         if n * sized.dims.d_x <= oracle_cap:

@@ -120,15 +120,19 @@ class CustomLinear:
 
     def act(self, t: int, delta: np.ndarray, agg: np.ndarray, y: np.ndarray,
             alpha: np.ndarray) -> np.ndarray:
-        """Actions (B, n, d_u) at action stage t from a batch of updated
-        estimates ``delta`` (B, n, d_x), ``agg`` (B, d_x) or one planned
-        (d_x,) row, and current observations ``y`` (B, n, d_y)."""
-        a3 = alpha[None, :, None]
-        combined = delta + a3 * agg[..., None, :]
-        y_bar = alpha @ y / alpha.shape[0]
+        """Actions (B, d_u, n) at action stage t from a batch of updated
+        estimates ``delta`` (B, d_x, n), ``agg`` (B, d_x) or one planned
+        (d_x,) row, and current observations ``y`` (B, d_y, n).
+
+        Arrays are agent-last; the shared terms ``phi z + omega y_bar``
+        broadcast along the agent axis, scaled by ``alpha``."""
+        combined = delta + agg[..., None] * alpha
+        y_bar = y @ alpha / alpha.shape[0]
         shared = agg @ self.phi[t].T + y_bar @ self.omega[t].T
-        return (combined @ self.theta[t].T + y @ self.psi[t].T
-                + a3 * shared[..., None, :])
+        u = self.theta[t] @ combined
+        u += self.psi[t] @ y
+        u += shared[..., None] * alpha
+        return u
 
 
 StrategyKind = Union[ZeroAction, Optimal, MeanField, CustomLinear]

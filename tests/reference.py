@@ -90,7 +90,8 @@ def direct_estimate_recursion(model, local, glob, y, u):
 
 def run_decentralized_filters(model, y, u):
     """Drive the production batched filter update and predict along one
-    trajectory, as a batch of one.
+    trajectory, as a batch of one, transposing to and from the filters'
+    agent-last layout.
 
     Returns the post-update components stacked over stages:
     (deltas (T, n, d_x), aggregates (T, d_x)).
@@ -109,14 +110,39 @@ def run_decentralized_filters(model, y, u):
     deltas, aggs = [], []
     for t in range(model.T):
         delta, agg, _ = update_estimates(model, local, glob, t, delta, agg,
-                                         y[t][None])
-        deltas.append(delta[0])
+                                         y[t].T[None])
+        deltas.append(delta[0].T)
         aggs.append(agg[0])
         if t + 1 < model.T:
-            u_t = u[t][None]
+            u_t = u[t].T[None]
             delta, agg = predict_estimates(model, t, delta, agg, u_t,
-                                           model.alpha @ u_t / model.n)
+                                           u_t @ model.alpha / model.n)
     return np.stack(deltas), np.stack(aggs)
+
+
+def noise_bank(model, seed, start, stop):
+    """The noise for rollouts [start, stop) drawn one block at a time: per
+    rollout, x1, then w stage by stage, then v stage by stage, each as its own
+    (n, d) normal draw times the covariance factor.  Arrays are (B, n, d_x),
+    (T - 1, B, n, d_w) and (T, B, n, d_v)."""
+    from teamlqg.sim import _cov_factor
+
+    d = model.dims
+    B = stop - start
+    fac_x = _cov_factor(model.Sigma_x)
+    fac_w = [_cov_factor(model.Sigma_w[t]) for t in range(d.T - 1)]
+    fac_v = [_cov_factor(model.Sigma_v[t]) for t in range(d.T)]
+    x1 = np.empty((B, d.n, d.d_x))
+    w = np.empty((d.T - 1, B, d.n, d.d_w))
+    v = np.empty((d.T, B, d.n, d.d_v))
+    for b in range(B):
+        gen = np.random.default_rng(np.random.SeedSequence((seed, start + b)))
+        x1[b] = model.mu_x + gen.standard_normal((d.n, d.d_x)) @ fac_x.T
+        for t in range(d.T - 1):
+            w[t, b] = gen.standard_normal((d.n, d.d_w)) @ fac_w[t].T
+        for t in range(d.T):
+            v[t, b] = gen.standard_normal((d.n, d.d_v)) @ fac_v[t].T
+    return {"x1": x1, "w": w, "v": v}
 
 
 def joint_exact_cost(model, kind):

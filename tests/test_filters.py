@@ -54,19 +54,23 @@ def test_global_schedule_coupled_values(model_s2):
 def test_prior_state_respects_influence():
     model = scalar_pair_model(alpha=normalize_influence((1.0, 2.0)), mu_x=1.0)
     delta, agg = prior_estimates(model, 3)
-    assert delta.shape == (3, 2, 1) and agg.shape == (3, 1)
+    assert delta.shape == (3, 1, 2) and agg.shape == (3, 1)
     a_mean = float(np.sum(model.alpha)) / 2
     np.testing.assert_allclose(agg[2], [a_mean])
-    np.testing.assert_allclose(delta[2, :, 0], 1.0 - model.alpha * a_mean)
+    np.testing.assert_allclose(delta[2, 0, :], 1.0 - model.alpha * a_mean)
     # weighted deviations cancel
-    assert abs(model.alpha @ delta[2, :, 0]) < 1e-12
+    assert abs(model.alpha @ delta[2, 0, :]) < 1e-12
 
 
 def _first_update(model, y, local=None, glob=None):
+    """First update of a batch of one; ``y`` and the returned deviations
+    are (n, d), transposed at the filters' agent-last boundary."""
     local = precompute_local(model) if local is None else local
     glob = precompute_global(model) if glob is None else glob
     delta, agg = prior_estimates(model, 1)
-    return update_estimates(model, local, glob, 0, delta, agg, np.asarray(y)[None])
+    delta, agg, correction = update_estimates(model, local, glob, 0, delta, agg,
+                                              np.asarray(y).T[None])
+    return delta.transpose(0, 2, 1), agg, correction
 
 
 def test_innovation_reference_values(model_s1):
@@ -104,11 +108,11 @@ def test_update_projects_deviations_onto_gauge():
     model = random_team(rng, T=3)
     d = model.dims
     delta, agg = prior_estimates(model, 4)
-    delta += rng.normal(size=(4, 1, d.d_x))
-    y = rng.normal(size=(4, d.n, d.d_y))
+    delta += rng.normal(size=(4, 1, d.d_x)).transpose(0, 2, 1)
+    y = rng.normal(size=(4, d.n, d.d_y)).transpose(0, 2, 1)
     out, _, _ = update_estimates(model, precompute_local(model),
                                  precompute_global(model), 0, delta, agg, y)
-    assert np.abs(model.alpha @ out / d.n).max() <= 1e-12
+    assert np.abs(out @ model.alpha / d.n).max() <= 1e-12
 
 
 def test_deviation_estimates_stay_in_gauge():

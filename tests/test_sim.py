@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from teamlqg import NonFiniteCostError, make_model, resize_team, sim, validate
+from teamlqg.model import Dimensions
 from teamlqg.filters import precompute_global, precompute_local
 from teamlqg.oracle import exact_cost
 from teamlqg.riccati import solve_riccati
@@ -25,7 +26,11 @@ from teamlqg.strategy import (
 from teamlqg.random_models import random_team
 
 from conftest import scalar_pair_model
-from reference import direct_estimate_recursion, run_decentralized_filters
+from reference import (
+    direct_estimate_recursion,
+    noise_bank,
+    run_decentralized_filters,
+)
 
 
 def test_rerun_is_bitwise_identical(model_s2):
@@ -42,6 +47,71 @@ def test_chunking_and_prefix_do_not_change_draws(model_s2):
     np.testing.assert_array_equal(whole.costs, split.costs)
     prefix = run_rollouts(model_s2, Optimal(), seed=7, n_rollouts=200, chunk=64)
     np.testing.assert_array_equal(whole.costs[:200], prefix.costs)
+
+
+def _coupled_pair_dims_model(n, T):
+    """A coupled d=2 team with correlated noise, resizable to any n."""
+    return make_model(
+        T=T, n=n,
+        A=[[0.9, 0.2], [-0.1, 0.8]], A_bar=[[0.2, 0.0], [0.1, 0.1]],
+        B=np.eye(2), B_bar=0.3 * np.eye(2), C=[[1.0, 0.3], [0.0, 1.0]],
+        C_bar=0.4 * np.eye(2), Q=np.eye(2), Q_bar=0.5 * np.eye(2),
+        R=np.eye(2), R_bar=0.2 * np.eye(2), mu_x=[1.0, -0.5],
+        Sigma_x=[[1.0, 0.3], [0.3, 0.8]], Sigma_w=[[0.5, 0.1], [0.1, 0.4]],
+        Sigma_v=[[0.6, -0.2], [-0.2, 0.9]])
+
+
+@pytest.mark.parametrize("kind", [Optimal(), MeanField()])
+def test_chunking_and_workers_do_not_change_draws_at_large_n(kind):
+    model = _coupled_pair_dims_model(n=1024, T=3)
+    whole = run_rollouts(model, kind, seed=19, n_rollouts=40, chunk=40)
+    for chunk, workers in ((7, 1), (7, 2), (40, 2)):
+        split = run_rollouts(model, kind, seed=19, n_rollouts=40, chunk=chunk,
+                             workers=workers)
+        np.testing.assert_array_equal(whole.costs, split.costs)
+        np.testing.assert_array_equal(whole.ms_correction, split.ms_correction)
+    prefix = run_rollouts(model, kind, seed=19, n_rollouts=23, chunk=7)
+    np.testing.assert_array_equal(whole.costs[:23], prefix.costs)
+    np.testing.assert_array_equal(whole.ms_correction[:23],
+                                  prefix.ms_correction)
+
+
+def test_noise_bank_matches_per_block_draws():
+    """One draw per rollout, scattered agent-last, is bitwise the noise of
+    drawing x1, each w and each v block by block."""
+    rng = np.random.default_rng(31)
+    models = [random_team(rng, n=int(rng.choice([2, 3, 5, 64])))
+              for _ in range(12)]
+    models += [_coupled_pair_dims_model(n, T=10) for n in (4, 128, 1024)]
+    models.append(scalar_pair_model(T=3, Sigma_x=0.0, Sigma_w=0.0))
+    dims = [m.dims for m in models]
+    assert {d.d_x for d in dims} == {1, 2, 3}
+    assert any(d.d_w != d.d_x for d in dims)
+    assert any(d.d_v != d.d_x for d in dims)
+    for model in models:
+        new = sim._noise_bank(model, 5, 3, 9)
+        ref = noise_bank(model, 5, 3, 9)
+        np.testing.assert_array_equal(new["x1"].transpose(0, 2, 1), ref["x1"])
+        np.testing.assert_array_equal(new["w"].transpose(0, 1, 3, 2), ref["w"])
+        np.testing.assert_array_equal(new["v"].transpose(0, 1, 3, 2), ref["v"])
+
+
+def test_default_chunk_keeps_bank_within_budget():
+    """Chunk sizes are arithmetic on the dimensions; nothing is drawn."""
+    def dims(n, T, d):
+        return Dimensions(n=n, T=T, d_x=d, d_u=d, d_y=d, d_w=d, d_v=d)
+
+    small = dims(2, 10, 2)
+    assert sim._default_chunk(small) == sim.MAX_CHUNK
+    for n in (1024, 65536):
+        big = dims(n, 5, 2)
+        chunk = sim._default_chunk(big)
+        assert 1 <= chunk < sim.MAX_CHUNK
+        assert chunk * sim._bank_bytes_per_rollout(big) <= sim.BANK_BUDGET
+        assert (chunk + 1) * sim._bank_bytes_per_rollout(big) > sim.BANK_BUDGET
+    huge = dims(2**24, 5, 2)
+    assert sim._bank_bytes_per_rollout(huge) > sim.BANK_BUDGET
+    assert sim._default_chunk(huge) == 1
 
 
 def test_worker_pool_matches_inline(model_s2):

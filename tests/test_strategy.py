@@ -29,11 +29,11 @@ from reference import simulate_truth
 
 
 def _updated_estimates(model, y):
-    """Estimates after the first update, as a batch of one."""
+    """Estimates after the first update, as an agent-last batch of one."""
     delta, agg = prior_estimates(model, 1)
     delta, agg, _ = update_estimates(model, precompute_local(model),
                                      precompute_global(model), 0, delta, agg,
-                                     np.asarray(y)[None])
+                                     np.asarray(y).T[None])
     return delta, agg
 
 
@@ -41,9 +41,9 @@ def test_optimal_action_reference_value(model_s1):
     coeffs = optimal_coefficients(solve_riccati(model_s1), model_s1)
     y = np.array([[2.0], [4.0]])
     delta, agg = _updated_estimates(model_s1, y)
-    u = coeffs.act(0, delta, agg, y[None], model_s1.alpha)
+    u = coeffs.act(0, delta, agg, y.T[None], model_s1.alpha)
     # estimate is half the observation and the gain is -1/2: u = -y/4
-    np.testing.assert_allclose(u[0], [[-0.5], [-1.0]])
+    np.testing.assert_allclose(u[0].T, [[-0.5], [-1.0]])
 
 
 def test_no_action_at_final_stage(model_s1):
@@ -101,7 +101,7 @@ def test_custom_linear_aggregate_is_publicly_computable():
     )
     y = simulate_truth(model, rng)["y"][0]
     delta, agg = _updated_estimates(model, y)
-    u = kind.act(0, delta, agg, y[None], model.alpha)[0]
+    u = kind.act(0, delta, agg, y.T[None], model.alpha)[0].T
     y_bar = deep_aggregate(y, model.alpha)
     public = (kind.theta[0] + kind.phi[0]) @ agg[0] + (kind.psi[0] + kind.omega[0]) @ y_bar
     np.testing.assert_allclose(deep_aggregate(u, model.alpha), public, atol=1e-10)
