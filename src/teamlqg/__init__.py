@@ -26,8 +26,7 @@ from .model import (
 )
 from .riccati import RiccatiPass, solve_riccati
 from .filters import (
-    GlobalFilterSchedule,
-    LocalFilterSchedule,
+    FilterSchedule,
     combined_agent_estimate,
     precompute_global,
     precompute_local,

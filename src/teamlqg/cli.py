@@ -21,16 +21,11 @@ from .errors import (
     RiccatiError,
     SingularInnovationError,
 )
-from .filters import (
-    global_schedule_from_json_dict,
-    local_schedule_from_json_dict,
-    precompute_global,
-    precompute_local,
-    schedule_to_json_dict,
-)
+from .filters import precompute_global, precompute_local, schedule_to_json_dict
 from .model import TeamModel, load_model, validate
-from .riccati import riccati_from_json_dict, riccati_to_json_dict, solve_riccati
-from .sim import benchmark_convergence_model, convergence_experiment, run_rollouts
+from .riccati import solve_riccati
+from .sim import (_mean_se, benchmark_convergence_model, convergence_experiment,
+                  run_rollouts)
 from .strategy import parse_strategy
 from .verify import run_verification_suite
 
@@ -123,17 +118,19 @@ def cmd_validate(args) -> int:
     return EXIT_INVALID
 
 
+def _schedules(model: TeamModel) -> dict[str, dict]:
+    """The precomputed schedule files: file name -> JSON document."""
+    return {
+        "riccati.json": schedule_to_json_dict(solve_riccati(model)),
+        "local_filter.json": schedule_to_json_dict(precompute_local(model)),
+        "global_filter.json": schedule_to_json_dict(precompute_global(model)),
+    }
+
+
 def cmd_precompute(args) -> int:
     model = _load_validated_model(args.model)
     out = _ensure_out(args.out)
-    gains = solve_riccati(model)
-    local = precompute_local(model)
-    glob = precompute_global(model)
-    files = {
-        "riccati.json": riccati_to_json_dict(gains),
-        "local_filter.json": schedule_to_json_dict(local),
-        "global_filter.json": schedule_to_json_dict(glob),
-    }
+    files = _schedules(model)
     for name, doc in files.items():
         _write_json(os.path.join(out, name), doc)
     _write_manifest(out, "precompute", sorted(files),
@@ -173,9 +170,7 @@ def cmd_simulate(args) -> int:
                     model=os.path.abspath(args.model), strategy=args.strategy,
                     seed=args.seed, rollouts=args.rollouts,
                     workers=args.workers, record=args.record)
-    mean = float(batch.costs.mean())
-    spread = float(batch.costs.std(ddof=1)) if batch.costs.size > 1 else 0.0
-    stderr = spread / np.sqrt(batch.costs.size) if batch.costs.size > 1 else 0.0
+    mean, stderr = _mean_se(batch.costs)
     print(f"mean cost {_fmt(mean)} (stderr {_fmt(stderr)}, "
           f"{batch.costs.size} rollouts)")
     print(f"max cost-split residual {_fmt(batch.residual_max)}")
@@ -219,29 +214,13 @@ def _write_trace_csv(path: str, traces) -> None:
 
 
 def _check_precomputed(model: TeamModel, directory: str) -> bool:
-    """Re-derive all schedules and compare with the stored JSON bit for bit."""
-    gains = solve_riccati(model)
-    local = precompute_local(model)
-    glob = precompute_global(model)
-    with open(os.path.join(directory, "riccati.json"), encoding="utf-8") as fh:
-        stored_gains = riccati_from_json_dict(json.load(fh))
-    with open(os.path.join(directory, "local_filter.json"),
-              encoding="utf-8") as fh:
-        stored_local = local_schedule_from_json_dict(json.load(fh))
-    with open(os.path.join(directory, "global_filter.json"),
-              encoding="utf-8") as fh:
-        stored_glob = global_schedule_from_json_dict(json.load(fh))
-    pairs = [
-        (gains.P, stored_gains.P), (gains.P_agg, stored_gains.P_agg),
-        (gains.gain, stored_gains.gain), (gains.gain_agg, stored_gains.gain_agg),
-        (local.Sigma_pred, stored_local.Sigma_pred),
-        (local.Sigma_post, stored_local.Sigma_post),
-        (local.gain, stored_local.gain),
-        (glob.Sigma_pred, stored_glob.Sigma_pred),
-        (glob.Sigma_post, stored_glob.Sigma_post),
-        (glob.gain, stored_glob.gain),
-    ]
-    return all(np.array_equal(a, b) for a, b in pairs)
+    """Re-derive all schedules and compare each stored document with the
+    fresh one; floats parse back exactly, so equal means bit for bit."""
+    for name, doc in _schedules(model).items():
+        with open(os.path.join(directory, name), encoding="utf-8") as fh:
+            if json.load(fh) != doc:
+                return False
+    return True
 
 
 def cmd_verify(args) -> int:

@@ -8,7 +8,8 @@ class InfluenceError(ValueError):
 
 
 class RiccatiError(RuntimeError):
-    """Raised when a Riccati recursion hits a non-positive-definite inner matrix."""
+    """Raised when a Riccati recursion hits a non-positive-definite inner
+    matrix or non-finite values."""
 
     def __init__(self, message: str, t: int):
         super().__init__(f"{message} at t={t}")

@@ -8,7 +8,11 @@ matrices, with noise covariances shrunk by 1/n.  The familiar per-agent
 state estimate is the derived view ``delta + alpha_i * aggregate`` and is
 never stored as a second recursion.
 
-Schedules (covariances and gains) depend only on the model, so they are
+Both schedules (covariances and gains, one ``FilterSchedule`` each) come
+from one forward covariance recursion, the dual of the backward Riccati
+pass in ``riccati``: the deviation schedule runs it on the local matrices
+with n = 1, the aggregate schedule on the coupled sums with every noise
+covariance divided by n.  They depend only on the model, so they are
 precomputed once.  Stepping is cheap linear algebra on top, batched over
 rollouts along a leading axis; the simulator and a single hand-driven
 trajectory use the same update and predict functions.  Stepping arrays are
@@ -19,7 +23,7 @@ contiguous agent axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -31,23 +35,15 @@ _SINGULAR_REL = 1e-12
 
 
 @dataclass(frozen=True)
-class LocalFilterSchedule:
-    """Deviation-filter covariances and gains, one entry per stage (0-based).
+class FilterSchedule:
+    """Filter covariances and gains, one entry per stage (0-based).
 
     ``Sigma_pred[t]`` and ``Sigma_post[t]`` are the pre/post-update error
-    covariances of the scaled deviation estimate; the per-agent deviation
-    error covariance is ``(1 - alpha_i^2 / n) * Sigma``.  ``gain[t]`` is
-    applied to the deviation innovation at stage t, including t = 0.
+    covariances and ``gain[t]`` is applied to the innovation at stage t,
+    including t = 0.  In the deviation schedule they belong to the scaled
+    deviation estimate: the per-agent deviation error covariance is
+    ``(1 - alpha_i^2 / n) * Sigma``.
     """
-
-    Sigma_pred: np.ndarray
-    Sigma_post: np.ndarray
-    gain: np.ndarray
-
-
-@dataclass(frozen=True)
-class GlobalFilterSchedule:
-    """Aggregate-filter covariances and gains, one entry per stage (0-based)."""
 
     Sigma_pred: np.ndarray
     Sigma_post: np.ndarray
@@ -64,52 +60,41 @@ def _checked_gain(sigma_pred: np.ndarray, obs: np.ndarray, noise_cov: np.ndarray
     return np.linalg.solve(cov, obs @ sigma_pred).T
 
 
-def precompute_local(model: TeamModel) -> LocalFilterSchedule:
-    """Run the deviation-filter covariance recursion over the whole horizon."""
-    d = model.dims
-    sigma_pred = np.zeros((d.T, d.d_x, d.d_x))
-    sigma_post = np.zeros((d.T, d.d_x, d.d_x))
-    gain = np.zeros((d.T, d.d_x, d.d_y))
-    sigma_pred[0] = model.Sigma_x
-    for t in range(d.T):
-        C = model.C[t]
-        noise = model.S[t] @ model.Sigma_v[t] @ model.S[t].T
-        gain[t] = _checked_gain(sigma_pred[t], C, noise, t, "deviation")
-        post = (np.eye(d.d_x) - gain[t] @ C) @ sigma_pred[t]
+def _forward_chain(A, E, C, S, Sigma_x, Sigma_w, Sigma_v, n: int,
+                   label: str) -> FilterSchedule:
+    T, d_x, _ = A.shape
+    sigma_pred = np.zeros((T, d_x, d_x))
+    sigma_post = np.zeros((T, d_x, d_x))
+    gain = np.zeros((T, d_x, C.shape[1]))
+    sigma_pred[0] = Sigma_x / n
+    for t in range(T):
+        noise = S[t] @ Sigma_v[t] @ S[t].T / n
+        gain[t] = _checked_gain(sigma_pred[t], C[t], noise, t, label)
+        post = (np.eye(d_x) - gain[t] @ C[t]) @ sigma_pred[t]
         sigma_post[t] = 0.5 * (post + post.T)
-        if t + 1 < d.T:
-            nxt = (model.A[t] @ sigma_post[t] @ model.A[t].T
-                   + model.E[t] @ model.Sigma_w[t] @ model.E[t].T)
+        if t + 1 < T:
+            nxt = A[t] @ sigma_post[t] @ A[t].T + E[t] @ Sigma_w[t] @ E[t].T / n
             sigma_pred[t + 1] = 0.5 * (nxt + nxt.T)
-    return LocalFilterSchedule(Sigma_pred=sigma_pred, Sigma_post=sigma_post, gain=gain)
+    return FilterSchedule(Sigma_pred=sigma_pred, Sigma_post=sigma_post, gain=gain)
 
 
-def precompute_global(model: TeamModel) -> GlobalFilterSchedule:
+def precompute_local(model: TeamModel) -> FilterSchedule:
+    """Run the deviation-filter covariance recursion over the whole horizon."""
+    return _forward_chain(model.A, model.E, model.C, model.S, model.Sigma_x,
+                          model.Sigma_w, model.Sigma_v, 1, "deviation")
+
+
+def precompute_global(model: TeamModel) -> FilterSchedule:
     """Run the aggregate-filter covariance recursion over the whole horizon.
 
     Uses the coupled matrices and noise covariances scaled by 1/n; every
     covariance in the schedule is exactly proportional to 1/n under a
     homogeneous influence vector, while the gains are n-independent.
     """
-    d = model.dims
-    n = d.n
-    sigma_pred = np.zeros((d.T, d.d_x, d.d_x))
-    sigma_post = np.zeros((d.T, d.d_x, d.d_x))
-    gain = np.zeros((d.T, d.d_x, d.d_y))
-    sigma_pred[0] = model.Sigma_x / n
-    for t in range(d.T):
-        C = model.C[t] + model.C_bar[t]
-        S = model.S[t] + model.S_bar[t]
-        noise = S @ model.Sigma_v[t] @ S.T / n
-        gain[t] = _checked_gain(sigma_pred[t], C, noise, t, "aggregate")
-        post = (np.eye(d.d_x) - gain[t] @ C) @ sigma_pred[t]
-        sigma_post[t] = 0.5 * (post + post.T)
-        if t + 1 < d.T:
-            A = model.A[t] + model.A_bar[t]
-            E = model.E[t] + model.E_bar[t]
-            nxt = A @ sigma_post[t] @ A.T + E @ model.Sigma_w[t] @ E.T / n
-            sigma_pred[t + 1] = 0.5 * (nxt + nxt.T)
-    return GlobalFilterSchedule(Sigma_pred=sigma_pred, Sigma_post=sigma_post, gain=gain)
+    return _forward_chain(model.A + model.A_bar, model.E + model.E_bar,
+                          model.C + model.C_bar, model.S + model.S_bar,
+                          model.Sigma_x, model.Sigma_w, model.Sigma_v,
+                          model.dims.n, "aggregate")
 
 
 def prior_estimates(model: TeamModel, batch: int) -> tuple[np.ndarray, np.ndarray]:
@@ -123,8 +108,8 @@ def prior_estimates(model: TeamModel, batch: int) -> tuple[np.ndarray, np.ndarra
 
 def update_estimates(
     model: TeamModel,
-    local: LocalFilterSchedule,
-    glob: Optional[GlobalFilterSchedule],
+    local: FilterSchedule,
+    glob: Optional[FilterSchedule],
     t: int,
     delta: np.ndarray,
     agg: np.ndarray,
@@ -198,8 +183,8 @@ def combined_agent_estimate(delta_xhat, agg_xhat, alpha):
 
 
 def team_error_covariance(
-    local: LocalFilterSchedule,
-    glob: GlobalFilterSchedule,
+    local: FilterSchedule,
+    glob: FilterSchedule,
     alpha: np.ndarray,
     t: int,
     phase: str = "updated",
@@ -219,39 +204,17 @@ def team_error_covariance(
 
 
 # ---------------------------------------------------------------------------
-# JSON forms for precomputed schedules (stage keys are 1-based strings)
+# JSON form of a precomputed schedule
 
 
 def schedule_to_json_dict(schedule) -> dict:
-    T = schedule.Sigma_pred.shape[0]
-    def keyed(stack):
-        return {str(t + 1): stack[t].tolist() for t in range(stack.shape[0])}
-    return {
-        "Sigma_pred": keyed(schedule.Sigma_pred),
-        "Sigma_post": keyed(schedule.Sigma_post),
-        "gain": keyed(schedule.gain),
-        "T": T,
-    }
+    """JSON form of a ``FilterSchedule`` or a ``RiccatiPass``.
 
-
-def _stack_from_keyed(doc: dict, T: int) -> np.ndarray:
-    entries = [np.asarray(doc[str(t + 1)], dtype=float) for t in range(T)]
-    return np.stack(entries)
-
-
-def local_schedule_from_json_dict(doc: dict) -> LocalFilterSchedule:
-    T = int(doc["T"])
-    return LocalFilterSchedule(
-        Sigma_pred=_stack_from_keyed(doc["Sigma_pred"], T),
-        Sigma_post=_stack_from_keyed(doc["Sigma_post"], T),
-        gain=_stack_from_keyed(doc["gain"], T),
-    )
-
-
-def global_schedule_from_json_dict(doc: dict) -> GlobalFilterSchedule:
-    T = int(doc["T"])
-    return GlobalFilterSchedule(
-        Sigma_pred=_stack_from_keyed(doc["Sigma_pred"], T),
-        Sigma_post=_stack_from_keyed(doc["Sigma_post"], T),
-        gain=_stack_from_keyed(doc["gain"], T),
-    )
+    Each per-stage stack is keyed by 1-based stage strings; ``T`` is the
+    horizon, the length of the first stack.
+    """
+    stacks = {f.name: getattr(schedule, f.name) for f in fields(schedule)}
+    doc = {name: {str(t + 1): m.tolist() for t, m in enumerate(stack)}
+           for name, stack in stacks.items()}
+    doc["T"] = next(iter(stacks.values())).shape[0]
+    return doc

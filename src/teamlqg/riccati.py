@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import RiccatiError
 from .model import TeamModel
@@ -32,10 +31,6 @@ class RiccatiPass:
     gain: np.ndarray
     gain_agg: np.ndarray
 
-    @property
-    def horizon(self) -> int:
-        return self.P.shape[0]
-
 
 def _backward_chain(A, B, Q, R, label: str) -> tuple[np.ndarray, np.ndarray]:
     T, d_x, _ = A.shape
@@ -48,12 +43,15 @@ def _backward_chain(A, B, Q, R, label: str) -> tuple[np.ndarray, np.ndarray]:
         inner = B[t].T @ nxt @ B[t] + R[t]
         inner = 0.5 * (inner + inner.T)
         try:
-            chol = cho_factor(inner, lower=True)
+            np.linalg.cholesky(inner)
         except np.linalg.LinAlgError as exc:
             raise RiccatiError(
                 f"{label} Riccati inner matrix not positive definite", t + 1
             ) from exc
-        gain[t] = -cho_solve(chol, B[t].T @ nxt @ A[t])
+        rhs = B[t].T @ nxt @ A[t]
+        if not (np.isfinite(inner).all() and np.isfinite(rhs).all()):
+            raise RiccatiError(f"{label} Riccati pass is not finite", t + 1)
+        gain[t] = -np.linalg.solve(inner, rhs)
         closed = A[t] + B[t] @ gain[t]
         P[t] = Q[t] + A[t].T @ nxt @ closed
         P[t] = 0.5 * (P[t] + P[t].T)
@@ -71,30 +69,3 @@ def solve_riccati(model: TeamModel) -> RiccatiPass:
         "aggregate",
     )
     return RiccatiPass(P=P, P_agg=P_agg, gain=gain, gain_agg=gain_agg)
-
-
-def riccati_to_json_dict(out: RiccatiPass) -> dict:
-    """Serialize value matrices and gains with 1-based stage keys."""
-    def keyed(stack):
-        return {str(t + 1): stack[t].tolist() for t in range(stack.shape[0])}
-    return {
-        "T": out.horizon,
-        "P": keyed(out.P),
-        "P_agg": keyed(out.P_agg),
-        "gain": keyed(out.gain),
-        "gain_agg": keyed(out.gain_agg),
-    }
-
-
-def riccati_from_json_dict(doc: dict) -> RiccatiPass:
-    T = int(doc["T"])
-    def stacked(entry, count):
-        if count == 0:
-            return np.zeros((0, 0, 0))
-        return np.stack([np.asarray(entry[str(t + 1)], dtype=float) for t in range(count)])
-    return RiccatiPass(
-        P=stacked(doc["P"], T),
-        P_agg=stacked(doc["P_agg"], T),
-        gain=stacked(doc["gain"], T - 1),
-        gain_agg=stacked(doc["gain_agg"], T - 1),
-    )

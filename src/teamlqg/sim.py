@@ -360,14 +360,13 @@ def evaluate_cost(model: TeamModel, kind: StrategyKind, seed: int = 0,
     """Monte Carlo estimate of the expected team cost with its standard error."""
     batch = run_rollouts(model, kind, seed=seed, n_rollouts=n_rollouts,
                          chunk=chunk, workers=workers)
-    costs = batch.costs
-    spread = float(costs.std(ddof=1)) if costs.size > 1 else 0.0
+    mean, se = _mean_se(batch.costs)
     return CostEstimate(
-        mean=float(costs.mean()),
-        stderr=float(spread / np.sqrt(costs.size)) if costs.size > 1 else 0.0,
-        n_rollouts=costs.size,
+        mean=mean,
+        stderr=se,
+        n_rollouts=batch.costs.size,
         residual_max=batch.residual_max,
-        degenerate=spread == 0.0,
+        degenerate=se == 0.0,
     )
 
 

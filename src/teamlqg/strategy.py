@@ -20,12 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .filters import (
-    GlobalFilterSchedule,
-    LocalFilterSchedule,
-    precompute_global,
-    precompute_local,
-)
+from .filters import FilterSchedule, precompute_global, precompute_local
 from .model import TeamModel
 from .riccati import RiccatiPass, solve_riccati
 
@@ -40,8 +35,8 @@ class Prepared:
     """
 
     coeffs: Optional[CustomLinear]
-    local: Optional[LocalFilterSchedule]
-    glob: Optional[GlobalFilterSchedule]
+    local: Optional[FilterSchedule]
+    glob: Optional[FilterSchedule]
     plan: Optional[MeanFieldPlan]
 
 

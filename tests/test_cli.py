@@ -12,8 +12,8 @@ import pytest
 import teamlqg
 from teamlqg import make_model, save_model
 from teamlqg.cli import main
-from teamlqg.riccati import riccati_from_json_dict, solve_riccati
-from teamlqg.sim import rollout, run_rollouts
+from teamlqg.riccati import RiccatiPass, solve_riccati
+from teamlqg.sim import evaluate_cost, rollout, run_rollouts
 from teamlqg.strategy import Optimal
 
 from conftest import scalar_pair_model
@@ -56,7 +56,10 @@ def test_precompute_writes_bit_exact_schedules(model_file, tmp_path):
                  "manifest.json"):
         assert (out / name).exists()
     with open(out / "riccati.json") as fh:
-        stored = riccati_from_json_dict(json.load(fh))
+        doc = json.load(fh)
+    stored = RiccatiPass(**{
+        key: np.array([doc[key][str(t + 1)] for t in range(len(doc[key]))])
+        for key in ("P", "P_agg", "gain", "gain_agg")})
     fresh = solve_riccati(scalar_pair_model(A_bar=1.0, Q_bar=1.0))
     np.testing.assert_array_equal(stored.P_agg, fresh.P_agg)
     np.testing.assert_array_equal(stored.gain_agg, fresh.gain_agg)
@@ -74,6 +77,10 @@ def test_simulate_costs_match_library_run(model_file, tmp_path, capsys):
     expected = run_rollouts(scalar_pair_model(A_bar=1.0, Q_bar=1.0), Optimal(),
                             seed=5, n_rollouts=50).costs
     np.testing.assert_array_equal(parsed, expected)
+    est = evaluate_cost(scalar_pair_model(A_bar=1.0, Q_bar=1.0), Optimal(),
+                        seed=5, n_rollouts=50)
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"mean cost {est.mean:.17g} (stderr {est.stderr:.17g}, 50 rollouts)")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "simulate"
     assert manifest["seed"] == 5
@@ -153,6 +160,62 @@ def test_verify_subcommand_with_roundtrip(model_file, tmp_path, capsys):
     assert doc["ok"] is True
     assert doc["precomputed_roundtrip_ok"] is True
     assert doc["max_estimate_deviation"] <= 1e-9
+
+
+def _roundtrip_ok(model_path, pre, out) -> bool:
+    main(["verify", "--models", "0", "--rollouts", "200", "--workers", "1",
+          "--out", str(out), "--model", model_path, "--precomputed", str(pre)])
+    return json.loads((out / "verification.json").read_text())[
+        "precomputed_roundtrip_ok"]
+
+
+def test_precomputed_roundtrip_at_one_stage(tmp_path):
+    # one stage has no action, so both gain stacks are empty
+    path = tmp_path / "one.json"
+    save_model(scalar_pair_model(T=1, A_bar=1.0, Q_bar=1.0), path)
+    pre = tmp_path / "pre"
+    assert main(["precompute", "--model", str(path), "--out", str(pre)]) == 0
+    doc = json.loads((pre / "riccati.json").read_text())
+    assert (doc["T"], list(doc["P"]), doc["gain"], doc["gain_agg"]) == (1, ["1"], {}, {})
+    assert _roundtrip_ok(str(path), pre, tmp_path / "ver") is True
+
+
+def _nudge_one_value(doc):
+    value = doc["Sigma_post"]["1"][0][0]
+    doc["Sigma_post"]["1"][0][0] = float(np.nextafter(value, np.inf))
+
+
+def _add_key(doc):
+    doc["extra"] = 1
+
+
+@pytest.mark.parametrize("name, change", [
+    ("local_filter.json", _nudge_one_value),
+    ("global_filter.json", _nudge_one_value),
+    ("riccati.json", _add_key),
+])
+def test_precomputed_roundtrip_catches_changed_file(model_file, tmp_path, name,
+                                                    change):
+    pre = tmp_path / "pre"
+    assert main(["precompute", "--model", model_file, "--out", str(pre)]) == 0
+    assert _roundtrip_ok(model_file, pre, tmp_path / "ver") is True
+    doc = json.loads((pre / name).read_text())
+    change(doc)
+    (pre / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    assert _roundtrip_ok(model_file, pre, tmp_path / "ver") is False
+
+
+def test_command_line_imports_no_scipy():
+    # scipy is for the unstructured optimizer only; every CLI run would pay its import
+    src = str(Path(teamlqg.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = ("import sys, teamlqg.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_convergence_subcommand(tmp_path):

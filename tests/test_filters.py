@@ -1,15 +1,17 @@
 """Deviation/aggregate filter schedules, batched stepping, and structural identities."""
 
+import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from teamlqg import SingularInnovationError, make_model, normalize_influence, resize_team
 from teamlqg.filters import (
+    FilterSchedule,
     combined_agent_estimate,
-    global_schedule_from_json_dict,
-    local_schedule_from_json_dict,
     precompute_global,
     precompute_local,
     prior_estimates,
@@ -218,8 +220,30 @@ def test_leave_one_out_inverse_identity():
 def test_schedule_json_round_trip(model_s2):
     local = precompute_local(model_s2)
     glob = precompute_global(model_s2)
-    back_l = local_schedule_from_json_dict(schedule_to_json_dict(local))
-    back_g = global_schedule_from_json_dict(schedule_to_json_dict(glob))
+    def back(schedule):
+        doc = json.loads(json.dumps(schedule_to_json_dict(schedule)))
+        return FilterSchedule(**{
+            key: np.array([doc[key][str(t + 1)] for t in range(doc["T"])])
+            for key in ("Sigma_pred", "Sigma_post", "gain")})
+
+    back_l = back(local)
+    back_g = back(glob)
     assert np.array_equal(back_l.Sigma_pred, local.Sigma_pred)
     assert np.array_equal(back_l.gain, local.gain)
     assert np.array_equal(back_g.Sigma_post, glob.Sigma_post)
+
+
+def test_readme_filter_stepping_example():
+    # the README's hand-stepping block, run as written on a model whose
+    # dimensions differ (n=4, d_x=2, d_u=1, d_y=3) so a mislaid axis fails
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    (block,) = [b for b in blocks if "update_estimates(" in b]
+    model = random_team(np.random.default_rng(12), n=4, T=3)
+    names = {"model": model}
+    exec(block, names)
+    trace = names["trace"]
+    np.testing.assert_allclose(names["xhat"], trace.combined_xhat[0], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(names["u"][0].T, trace.u[0], rtol=1e-12, atol=1e-12)
+    stage1 = combined_agent_estimate(names["delta"][0].T, names["agg"][0], model.alpha)
+    np.testing.assert_allclose(stage1, trace.combined_xhat[1], rtol=1e-12, atol=1e-12)

@@ -52,6 +52,16 @@ def test_degenerate_inner_matrix_raises():
     assert "t=1" in str(err.value)
 
 
+def test_overflowing_pass_raises():
+    # nothing controls the state, so P grows like A^(2t) and overflows;
+    # the stage's gain would be NaN
+    model = scalar_pair_model(T=40, A=1e10, B=0.0)
+    with pytest.raises(RiccatiError, match="not finite") as err:
+        with np.errstate(over="ignore", invalid="ignore"):
+            solve_riccati(model)
+    assert err.value.t == 23
+
+
 def test_value_matrices_symmetric_psd_on_random_models():
     rng = np.random.default_rng(20260822)
     for _ in range(25):
