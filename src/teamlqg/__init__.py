@@ -9,13 +9,9 @@ from .errors import (
 )
 from .model import (
     Dimensions,
-    StageMatrices,
     TeamModel,
     ValidationReport,
-    deep_aggregate,
     from_json_dict,
-    gauge_decompose,
-    gauge_recompose,
     load_model,
     make_model,
     normalize_influence,

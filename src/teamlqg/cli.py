@@ -217,7 +217,10 @@ def _check_precomputed(model: TeamModel, directory: str) -> bool:
     """Re-derive all schedules and compare each stored document with the
     fresh one; floats parse back exactly, so equal means bit for bit."""
     for name, doc in _schedules(model).items():
-        with open(os.path.join(directory, name), encoding="utf-8") as fh:
+        path = os.path.join(directory, name)
+        if not os.path.exists(path):
+            raise _UsageError(f"precomputed file not found: {path}")
+        with open(path, encoding="utf-8") as fh:
             if json.load(fh) != doc:
                 return False
     return True

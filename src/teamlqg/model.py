@@ -1,10 +1,11 @@
-"""Team model containers, validation, and the weighted-average algebra.
+"""Team model container, validation, and its JSON wire format.
 
 A team consists of n agents with identical local dynamics plus a coupling
 through the influence-weighted average of their states, actions, and noises.
-This module owns the model data structure, its JSON wire format, and the
-small algebra used everywhere else: weighted aggregation and the split of a
-collection of per-agent vectors into aggregate and deviation parts.
+A model is a set of per-stage matrix stacks: plain matrices for an agent's
+own dynamics, sensing, and costs, ``_bar`` matrices that couple it to the
+averages.  ``_stack_stage`` is the one reader of such stacks; ``make_model``,
+the model JSON reader, and ``CustomLinear.from_json_dict`` all go through it.
 
 Time is handled 0-based in code (stage index ``t`` runs over ``range(T)``);
 human-facing output such as validation messages and serialized schedules uses
@@ -14,7 +15,7 @@ human-facing output such as validation messages and serialized schedules uses
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -61,26 +62,6 @@ class Dimensions:
 
 
 @dataclass(frozen=True)
-class StageMatrices:
-    """All stage matrices of one time step."""
-
-    A: np.ndarray
-    A_bar: np.ndarray
-    B: np.ndarray
-    B_bar: np.ndarray
-    E: np.ndarray
-    E_bar: np.ndarray
-    C: np.ndarray
-    C_bar: np.ndarray
-    S: np.ndarray
-    S_bar: np.ndarray
-    Q: np.ndarray
-    Q_bar: np.ndarray
-    R: np.ndarray
-    R_bar: np.ndarray
-
-
-@dataclass(frozen=True)
 class TeamModel:
     """Immutable team model: dimensions, stacked stage matrices, noise, influence.
 
@@ -124,12 +105,6 @@ class TeamModel:
         """(1/n) sum of influence factors."""
         return float(np.sum(self.alpha)) / self.dims.n
 
-    def stage(self, t: int) -> StageMatrices:
-        """Return the stage matrices of step t (0-based)."""
-        if not 0 <= t < self.dims.T:
-            raise IndexError(f"stage {t} outside horizon of length {self.dims.T}")
-        return StageMatrices(**{k: getattr(self, k)[t] for k in _STAGE_KEYS})
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -148,14 +123,31 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _stack_stage(value, T: int, rows: int, cols: int, name: str) -> np.ndarray:
-    """Coerce a constant or per-stage matrix spec into a (T, rows, cols) stack."""
-    arr = np.asarray(value, dtype=float)
+    """Read a per-stage matrix spec into a new (T, rows, cols) stack.
+
+    ``value`` is a scalar (a 1x1 matrix, or 0 for zeros of any shape), one
+    matrix reused at every stage, a (T, rows, cols) stack (``[]`` when T is
+    0), or a dict keyed by 1-based stage strings "1".."T", the form
+    ``schedule_to_json_dict`` writes.
+    """
+    if isinstance(value, dict):
+        try:
+            value = [value[str(t + 1)] for t in range(T)]
+        except KeyError as exc:
+            raise ValueError(f"{name}: no entry for stage {exc}") from exc
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: not a numeric array ({exc})") from exc
+    if T == 0 and arr.shape == (0,):
+        return np.zeros((0, rows, cols))
     if arr.ndim == 0:
-        if float(arr) == 0.0:
+        if (rows, cols) == (1, 1):
+            arr = arr.reshape(1, 1)
+        elif float(arr) == 0.0:
             return np.zeros((T, rows, cols))
-        if (rows, cols) != (1, 1):
+        else:
             raise ValueError(f"{name}: scalar given but expected shape {(rows, cols)}")
-        arr = arr.reshape(1, 1)
     if arr.ndim == 2:
         if arr.shape != (rows, cols):
             raise ValueError(f"{name}: expected shape {(rows, cols)}, got {arr.shape}")
@@ -167,28 +159,11 @@ def _stack_stage(value, T: int, rows: int, cols: int, name: str) -> np.ndarray:
     raise ValueError(f"{name}: cannot interpret array of ndim {arr.ndim}")
 
 
-def _leading_dim(value, default: int | None = None) -> int:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return 1 if default is None else default
-    if arr.ndim == 1:
-        return arr.shape[0]
-    return arr.shape[-2]
-
-
-def _trailing_dim(value, default: int | None = None) -> int:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return 1 if default is None else default
-    return arr.shape[-1]
-
-
 def _symmetrize_in_place(stack: np.ndarray) -> None:
     """Average away asymmetry that is within tolerance; leave the rest alone."""
-    for t in range(stack.shape[0]):
-        m = stack[t]
-        if np.max(np.abs(m - m.T), initial=0.0) <= SYM_TOL:
-            stack[t] = 0.5 * (m + m.T)
+    flipped = stack.swapaxes(1, 2)
+    near = np.max(np.abs(stack - flipped), axis=(1, 2), initial=0.0) <= SYM_TOL
+    stack[near] = 0.5 * (stack[near] + flipped[near])
 
 
 def make_model(
@@ -217,12 +192,15 @@ def make_model(
 ) -> TeamModel:
     """Assemble an immutable TeamModel from constants or per-stage arrays.
 
-    Each stage matrix may be given as a scalar (1x1 models), a single matrix
-    reused for the whole horizon, or a (T, rows, cols) stack.  ``E`` and ``S``
-    default to identities, ``mu_x`` to zero, the coupling (``*_bar``) matrices
-    to zero.  ``alpha`` defaults to the homogeneous vector of ones, in which
-    case ``n`` must be given.  Near-symmetric quadratic-form and covariance
-    matrices are symmetrized; anything worse is left for validate() to flag.
+    Each stage matrix and noise covariance may be given in any form
+    ``_stack_stage`` reads: a scalar, one matrix reused for the whole
+    horizon, a (T, rows, cols) stack, or a dict keyed "1".."T".  The sizes
+    are read off ``A``, ``B``, ``C``, ``E``, and ``S``.  ``E`` and ``S``
+    default to square identities, ``mu_x`` to zero, the coupling
+    (``*_bar``) matrices to zero.  ``alpha`` defaults to the homogeneous
+    vector of ones, in which case ``n`` must be given.  Near-symmetric
+    quadratic-form and covariance matrices are symmetrized; anything worse
+    is left for validate() to flag.
     """
     if T < 1:
         raise ValueError("horizon T must be at least 1")
@@ -235,29 +213,23 @@ def make_model(
         if n is not None and n != alpha_arr.shape[0]:
             raise ValueError(f"n={n} disagrees with len(alpha)={alpha_arr.shape[0]}")
 
-    d_x = _leading_dim(A)
-    d_u = _trailing_dim(B)
-    d_y = _leading_dim(C)
-    d_w = _trailing_dim(E, default=d_x) if E is not None else d_x
-    d_v = _trailing_dim(S, default=d_y) if S is not None else d_y
+    d_x = np.atleast_2d(A).shape[-2]
+    d_y = np.atleast_2d(C).shape[-2]
     if E is None:
-        E = np.eye(d_x, d_w)
+        E = np.eye(d_x)
     if S is None:
-        S = np.eye(d_y, d_v)
-    dims = Dimensions(n=alpha_arr.shape[0], T=T, d_x=d_x, d_u=d_u, d_y=d_y, d_w=d_w, d_v=d_v)
+        S = np.eye(d_y)
+    dims = Dimensions(n=alpha_arr.shape[0], T=T, d_x=d_x, d_u=np.atleast_2d(B).shape[-1],
+                      d_y=d_y, d_w=np.atleast_2d(E).shape[-1], d_v=np.atleast_2d(S).shape[-1])
 
     stage_values = {
         "A": A, "A_bar": A_bar, "B": B, "B_bar": B_bar, "E": E, "E_bar": E_bar,
         "C": C, "C_bar": C_bar, "S": S, "S_bar": S_bar,
         "Q": Q, "Q_bar": Q_bar, "R": R, "R_bar": R_bar,
     }
-    stacks = {}
-    for key, (rname, cname) in _STAGE_SHAPES.items():
-        rows = getattr(dims, rname)
-        cols = getattr(dims, cname)
-        stacks[key] = _stack_stage(stage_values[key], T, rows, cols, key)
-    for key in ("Q", "Q_bar", "R", "R_bar"):
-        _symmetrize_in_place(stacks[key])
+    stacks = {key: _stack_stage(stage_values[key], T, getattr(dims, rname),
+                                getattr(dims, cname), key)
+              for key, (rname, cname) in _STAGE_SHAPES.items()}
 
     if mu_x is None:
         mu = np.zeros(d_x)
@@ -265,19 +237,17 @@ def make_model(
         mu = np.asarray(mu_x, dtype=float).reshape(-1).copy()
         if mu.shape != (d_x,):
             raise ValueError(f"mu_x: expected shape {(d_x,)}, got {mu.shape}")
-    sx = _stack_stage(Sigma_x, 1, d_x, d_x, "Sigma_x")[0].copy()
-    sw = _stack_stage(Sigma_w, T, d_w, d_w, "Sigma_w")
-    sv = _stack_stage(Sigma_v, T, d_v, d_v, "Sigma_v")
-    for cov in (sw, sv):
-        _symmetrize_in_place(cov)
-    if np.max(np.abs(sx - sx.T), initial=0.0) <= SYM_TOL:
-        sx = 0.5 * (sx + sx.T)
+    sx = _stack_stage(Sigma_x, 1, d_x, d_x, "Sigma_x")
+    sw = _stack_stage(Sigma_w, T, dims.d_w, dims.d_w, "Sigma_w")
+    sv = _stack_stage(Sigma_v, T, dims.d_v, dims.d_v, "Sigma_v")
+    for stack in (stacks["Q"], stacks["Q_bar"], stacks["R"], stacks["R_bar"], sx, sw, sv):
+        _symmetrize_in_place(stack)
 
     return TeamModel(
         dims=dims,
         **{k: _freeze(v) for k, v in stacks.items()},
         mu_x=_freeze(mu),
-        Sigma_x=_freeze(sx),
+        Sigma_x=_freeze(sx[0]),
         Sigma_w=_freeze(sw),
         Sigma_v=_freeze(sv),
         alpha=_freeze(alpha_arr),
@@ -391,105 +361,24 @@ def normalize_influence(alpha_raw) -> np.ndarray:
     return arr * np.sqrt(n / ssq)
 
 
-def _as_agent_matrix(values, alpha: np.ndarray, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"{name}: expected n stacked row vectors, got ndim {arr.ndim}")
-    if arr.shape[0] != alpha.shape[0]:
-        raise ValueError(
-            f"{name}: {arr.shape[0]} vectors for {alpha.shape[0]} influence factors"
-        )
-    return arr
-
-
-def deep_aggregate(values, alpha) -> np.ndarray:
-    """Influence-weighted average (1/n) sum_i alpha_i values_i.
-
-    ``values`` holds one row per agent; the result is a single vector.
-    """
-    alpha = np.asarray(alpha, dtype=float).reshape(-1)
-    arr = _as_agent_matrix(values, alpha, "deep_aggregate")
-    return alpha @ arr / alpha.shape[0]
-
-
-def gauge_decompose(values, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """Split per-agent rows into (deviations, weighted average).
-
-    Returns ``(deltas, bar)`` with ``deltas[i] = values[i] - alpha_i * bar``.
-    The deviations satisfy (1/n) sum_i alpha_i deltas_i = 0.
-    """
-    alpha = np.asarray(alpha, dtype=float).reshape(-1)
-    arr = _as_agent_matrix(values, alpha, "gauge_decompose")
-    bar = alpha @ arr / alpha.shape[0]
-    return arr - np.outer(alpha, bar), bar
-
-
-def gauge_recompose(deltas, bar, alpha) -> np.ndarray:
-    """Inverse of gauge_decompose: values[i] = deltas[i] + alpha_i * bar."""
-    alpha = np.asarray(alpha, dtype=float).reshape(-1)
-    arr = _as_agent_matrix(deltas, alpha, "gauge_recompose")
-    bar = np.asarray(bar, dtype=float).reshape(-1)
-    if bar.shape[0] != arr.shape[1]:
-        raise ValueError(
-            f"gauge_recompose: average has length {bar.shape[0]}, rows have {arr.shape[1]}"
-        )
-    return arr + np.outer(alpha, bar)
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format
 
 
-def _matrix_list(m: np.ndarray) -> list:
-    return np.asarray(m, dtype=float).tolist()
-
-
 def to_json_dict(model: TeamModel) -> dict:
     """Serialize a model to the documented JSON structure (always explicit stages)."""
-    d = model.dims
-    stages = []
-    for t in range(d.T):
-        st = model.stage(t)
-        stages.append({k: _matrix_list(getattr(st, k)) for k in _STAGE_KEYS})
     return {
-        "dims": {
-            "n": d.n, "T": d.T, "d_x": d.d_x, "d_u": d.d_u,
-            "d_y": d.d_y, "d_w": d.d_w, "d_v": d.d_v,
-        },
-        "stages": stages,
+        "dims": asdict(model.dims),
+        "stages": [{k: getattr(model, k)[t].tolist() for k in _STAGE_KEYS}
+                   for t in range(model.dims.T)],
         "noise": {
-            "mu_x": _matrix_list(model.mu_x),
-            "Sigma_x": _matrix_list(model.Sigma_x),
-            "Sigma_w": [_matrix_list(model.Sigma_w[t]) for t in range(d.T)],
-            "Sigma_v": [_matrix_list(model.Sigma_v[t]) for t in range(d.T)],
+            "mu_x": model.mu_x.tolist(),
+            "Sigma_x": model.Sigma_x.tolist(),
+            "Sigma_w": model.Sigma_w.tolist(),
+            "Sigma_v": model.Sigma_v.tolist(),
         },
-        "alpha": _matrix_list(model.alpha),
+        "alpha": model.alpha.tolist(),
     }
-
-
-def _json_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    if arr.shape != (rows, cols):
-        raise ValueError(f"{name}: expected {rows}x{cols}, got shape {arr.shape}")
-    return arr
-
-
-def _json_cov_stack(value, T: int, dim: int, name: str) -> np.ndarray:
-    """Accept one covariance matrix or a list of T of them."""
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    if arr.ndim == 2:
-        if arr.shape != (dim, dim):
-            raise ValueError(f"{name}: expected {dim}x{dim}, got shape {arr.shape}")
-        return np.broadcast_to(arr, (T, dim, dim)).copy()
-    if arr.ndim == 3:
-        if arr.shape != (T, dim, dim):
-            raise ValueError(f"{name}: expected {T} matrices of {dim}x{dim}, got {arr.shape}")
-        return arr.copy()
-    raise ValueError(f"{name}: cannot interpret value")
 
 
 def from_json_dict(doc: dict) -> TeamModel:
@@ -497,73 +386,49 @@ def from_json_dict(doc: dict) -> TeamModel:
 
     The document needs ``dims``, ``stages`` (one object or a list of T),
     ``noise``, and ``alpha``.  Coupling matrices, ``E``, ``S``, and ``mu_x``
-    may be omitted; see the README for the full schema.
+    may be omitted; see the README for the full schema.  Every matrix is
+    read at the shape ``dims`` gives it.
     """
     try:
-        dims_doc = doc["dims"]
-        dims = Dimensions(
-            n=int(dims_doc["n"]), T=int(dims_doc["T"]), d_x=int(dims_doc["d_x"]),
-            d_u=int(dims_doc["d_u"]), d_y=int(dims_doc["d_y"]),
-            d_w=int(dims_doc["d_w"]), d_v=int(dims_doc["d_v"]),
-        )
-        stages_doc = doc["stages"]
-        noise_doc = doc["noise"]
-        alpha_doc = doc["alpha"]
+        dims = Dimensions(**{f.name: int(doc["dims"][f.name]) for f in fields(Dimensions)})
+        stages, noise, alpha = doc["stages"], doc["noise"], doc["alpha"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"model document is missing required data: {exc}") from exc
     if dims.T < 1:
         raise ValueError("dims.T must be at least 1")
+    if isinstance(stages, dict):
+        stages = [stages] * dims.T
+    if len(stages) != dims.T:
+        raise ValueError(f"stages: expected {dims.T} entries, got {len(stages)}")
 
-    if isinstance(stages_doc, dict):
-        stages_doc = [stages_doc] * dims.T
-    if len(stages_doc) != dims.T:
-        raise ValueError(f"stages: expected {dims.T} entries, got {len(stages_doc)}")
-
-    stacks = {k: np.zeros((dims.T, getattr(dims, r), getattr(dims, c)))
-              for k, (r, c) in _STAGE_SHAPES.items()}
-    for t, st in enumerate(stages_doc):
+    entries = {key: [] for key in _STAGE_KEYS}
+    for t, st in enumerate(stages):
         for key, (rname, cname) in _STAGE_SHAPES.items():
-            rows = getattr(dims, rname)
-            cols = getattr(dims, cname)
-            if key in st:
-                stacks[key][t] = _json_matrix(st[key], rows, cols, f"stages[{t}].{key}")
-            elif key in _REQUIRED_STAGE_KEYS:
+            if key in _REQUIRED_STAGE_KEYS and key not in st:
                 raise ValueError(f"stages[{t}]: missing required matrix {key}")
-            elif key == "E":
-                stacks[key][t] = np.eye(rows, cols)
-            elif key == "S":
-                stacks[key][t] = np.eye(rows, cols)
-            # remaining optional keys default to zero
-
-    alpha = np.asarray(alpha_doc, dtype=float).reshape(-1)
-    if alpha.shape[0] != dims.n:
-        raise ValueError(f"alpha: expected {dims.n} entries, got {alpha.shape[0]}")
-
-    mu_x = noise_doc.get("mu_x", None)
-    mu = np.zeros(dims.d_x) if mu_x is None else np.asarray(mu_x, dtype=float).reshape(-1)
-    if mu.shape != (dims.d_x,):
-        raise ValueError(f"noise.mu_x: expected {dims.d_x} entries, got {mu.shape}")
+            rows, cols = getattr(dims, rname), getattr(dims, cname)
+            default = np.eye(rows, cols) if key in ("E", "S") else 0.0
+            entries[key].append(_stack_stage(st.get(key, default), 1, rows, cols,
+                                             f"stages[{t}].{key}")[0])
     try:
-        sx = _json_matrix(noise_doc["Sigma_x"], dims.d_x, dims.d_x, "noise.Sigma_x")
-        sw = _json_cov_stack(noise_doc["Sigma_w"], dims.T, dims.d_w, "noise.Sigma_w")
-        sv = _json_cov_stack(noise_doc["Sigma_v"], dims.T, dims.d_v, "noise.Sigma_v")
+        covs = {key: noise[key] for key in ("Sigma_x", "Sigma_w", "Sigma_v")}
     except KeyError as exc:
         raise ValueError(f"noise block is missing {exc}") from exc
+    return make_model(T=dims.T, n=dims.n, alpha=alpha, mu_x=noise.get("mu_x"),
+                      **covs, **entries)
 
-    return make_model(
-        T=dims.T, alpha=alpha, mu_x=mu, Sigma_x=sx, Sigma_w=sw, Sigma_v=sv,
-        **stacks,
-    )
+
+def _read_json(path):
+    """Parse a JSON file; a syntax error is a ValueError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def load_model(path) -> TeamModel:
     """Read and assemble a model from a JSON file."""
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    return from_json_dict(doc)
+    return from_json_dict(_read_json(path))
 
 
 def save_model(model: TeamModel, path) -> None:

@@ -32,6 +32,7 @@ class RiccatiPass:
     gain_agg: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _backward_chain(A, B, Q, R, label: str) -> tuple[np.ndarray, np.ndarray]:
     T, d_x, _ = A.shape
     d_u = B.shape[2]

@@ -13,15 +13,13 @@ it acts with.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
 from .filters import FilterSchedule, precompute_global, precompute_local
-from .model import TeamModel
+from .model import TeamModel, _read_json, _stack_stage
 from .riccati import RiccatiPass, solve_riccati
 
 
@@ -83,32 +81,13 @@ class CustomLinear:
 
     @classmethod
     def from_json_dict(cls, doc: dict, model: TeamModel) -> "CustomLinear":
+        """Read each coefficient in any form ``model._stack_stage`` accepts;
+        an omitted one is zero."""
         d = model.dims
         stages = max(d.T - 1, 0)
-
-        def stack(key: str, rows: int, cols: int) -> np.ndarray:
-            if key not in doc:
-                return np.zeros((stages, rows, cols))
-            value = doc[key]
-            if isinstance(value, dict):
-                mats = [np.asarray(value[str(t + 1)], dtype=float) for t in range(stages)]
-                arr = np.stack(mats) if mats else np.zeros((0, rows, cols))
-            else:
-                arr = np.asarray(value, dtype=float)
-                if arr.ndim == 0:
-                    arr = arr.reshape(1, 1)
-                if arr.ndim == 2:
-                    arr = np.broadcast_to(arr, (stages, *arr.shape)).copy()
-            if arr.shape != (stages, rows, cols):
-                raise ValueError(f"{key}: expected shape {(stages, rows, cols)}, got {arr.shape}")
-            return arr
-
-        return cls(
-            theta=stack("theta", d.d_u, d.d_x),
-            phi=stack("phi", d.d_u, d.d_x),
-            psi=stack("psi", d.d_u, d.d_y),
-            omega=stack("omega", d.d_u, d.d_y),
-        )
+        cols = {"theta": d.d_x, "phi": d.d_x, "psi": d.d_y, "omega": d.d_y}
+        return cls(**{key: _stack_stage(doc.get(key, 0.0), stages, d.d_u, cols[key], key)
+                      for key in cols})
 
     def prepare(self, model: TeamModel) -> Prepared:
         return Prepared(self, precompute_local(model), precompute_global(model), None)
@@ -147,11 +126,7 @@ def optimal_coefficients(gains: RiccatiPass, model: TeamModel) -> CustomLinear:
 
 def load_custom_strategy(path, model: TeamModel) -> CustomLinear:
     """Read CustomLinear coefficients from a JSON file."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    return CustomLinear.from_json_dict(doc, model)
+    return CustomLinear.from_json_dict(_read_json(path), model)
 
 
 def parse_strategy(text: str, model: TeamModel) -> StrategyKind:

@@ -43,6 +43,17 @@ def test_missing_model_file_is_usage_error(tmp_path):
     assert main(["validate", "--model", str(tmp_path / "nope.json")]) == 64
 
 
+def test_readme_model_file_validates(tmp_path, capsys):
+    # the JSON block under "Model files" in README.md is a loadable model
+    readme = Path(__file__).parents[1] / "README.md"
+    section = readme.read_text().split("## Model files", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme_model.json"
+    path.write_text(block)
+    assert main(["validate", "--model", str(path)]) == 0
+    assert capsys.readouterr().out == "0 violations\n"
+
+
 def test_malformed_model_file_is_validation_failure(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
@@ -137,6 +148,18 @@ def test_unobservable_model_is_numerical_failure(tmp_path):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_precompute_prints_only_its_failure(tmp_path, capsys):
+    # nothing controls the state, so the deviation Riccati pass overflows
+    path = tmp_path / "exploding.json"
+    save_model(scalar_pair_model(T=40, A=1e10, B=0.0), path)
+    assert main(["precompute", "--model", str(path),
+                 "--out", str(tmp_path / "pre")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: deviation Riccati pass is not finite "
+                   "at t=23\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_cost_is_numerical_failure(tmp_path, capsys):
     # the uncontrolled state overflows, so costs are inf or nan, never printed
     path = tmp_path / "exploding.json"
@@ -178,6 +201,19 @@ def test_precomputed_roundtrip_at_one_stage(tmp_path):
     doc = json.loads((pre / "riccati.json").read_text())
     assert (doc["T"], list(doc["P"]), doc["gain"], doc["gain_agg"]) == (1, ["1"], {}, {})
     assert _roundtrip_ok(str(path), pre, tmp_path / "ver") is True
+
+
+@pytest.mark.parametrize("missing", ["directory", "riccati.json"])
+def test_missing_precomputed_file_is_usage_error(model_file, tmp_path, capsys,
+                                                 missing):
+    pre = tmp_path / "pre"
+    if missing != "directory":
+        assert main(["precompute", "--model", model_file, "--out", str(pre)]) == 0
+        (pre / missing).unlink()
+    capsys.readouterr()
+    assert main(["verify", "--models", "0", "--rollouts", "200", "--workers", "1",
+                 "--model", model_file, "--precomputed", str(pre)]) == 64
+    assert "riccati.json" in capsys.readouterr().err
 
 
 def _nudge_one_value(doc):

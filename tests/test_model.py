@@ -1,4 +1,4 @@
-"""Model construction, validation, influence normalization, and gauge algebra."""
+"""Model construction, validation, influence normalization, and the JSON readers."""
 
 import json
 
@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 
 from teamlqg import (
     InfluenceError,
-    deep_aggregate,
     from_json_dict,
-    gauge_decompose,
-    gauge_recompose,
     load_model,
     make_model,
     normalize_influence,
@@ -21,6 +18,9 @@ from teamlqg import (
     to_json_dict,
     validate,
 )
+from teamlqg.filters import schedule_to_json_dict
+from teamlqg.random_models import random_team
+from teamlqg.strategy import CustomLinear
 from conftest import scalar_pair_model
 
 
@@ -81,14 +81,6 @@ def test_indefinite_coupled_cost_is_flagged():
     assert any("Q+Q_bar not positive semidefinite at t=1" in msg for msg in report.violations)
 
 
-def test_stage_accessor(model_s1):
-    st0 = model_s1.stage(0)
-    assert st0.A.shape == (1, 1)
-    assert st0.A[0, 0] == 1.0
-    with pytest.raises(IndexError):
-        model_s1.stage(2)
-
-
 def test_normalize_influence_reference_values():
     alpha = normalize_influence((1.0, 2.0))
     np.testing.assert_allclose(alpha, [0.6324555320336759, 1.2649110640673518], rtol=1e-12)
@@ -106,38 +98,6 @@ def test_normalize_influence_rejects_degenerate_input():
         normalize_influence((1.0, np.inf))
 
 
-def test_deep_aggregate_reference_value():
-    x = np.array([[2.0], [4.0]])
-    np.testing.assert_allclose(deep_aggregate(x, [1.0, 1.0]), [3.0])
-
-
-def test_gauge_decompose_reference_values():
-    x = np.array([[2.0], [4.0]])
-    deltas, bar = gauge_decompose(x, [1.0, 1.0])
-    np.testing.assert_allclose(bar, [3.0])
-    np.testing.assert_allclose(deltas, [[-1.0], [1.0]])
-
-
-def test_aggregate_shape_mismatch():
-    with pytest.raises(ValueError):
-        deep_aggregate(np.zeros((3, 2)), [1.0, 1.0])
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9), d=st.integers(1, 4))
-def test_gauge_round_trip_and_constraint(seed, n, d):
-    rng = np.random.default_rng(seed)
-    alpha = normalize_influence(rng.uniform(0.3, 2.0, n) * rng.choice([-1.0, 1.0], n))
-    values = rng.normal(size=(n, d)) * 3.0
-    deltas, bar = gauge_decompose(values, alpha)
-    # weighted deviations cancel
-    np.testing.assert_allclose(alpha @ deltas / n, np.zeros(d), atol=1e-10)
-    # exact reconstruction
-    np.testing.assert_allclose(gauge_recompose(deltas, bar, alpha), values, atol=1e-12)
-    # aggregate of the recomposition agrees with the stored average
-    np.testing.assert_allclose(deep_aggregate(values, alpha), bar, atol=1e-12)
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), d=st.integers(1, 3))
 def test_quadratic_cost_splits_across_gauge(seed, n, d):
@@ -148,7 +108,8 @@ def test_quadratic_cost_splits_across_gauge(seed, n, d):
     m = rng.normal(size=(d, d))
     m = m + m.T
     values = rng.normal(size=(n, d)) * 2.0
-    deltas, bar = gauge_decompose(values, alpha)
+    bar = alpha @ values / n
+    deltas = values - np.outer(alpha, bar)
     lhs = np.einsum("nd,de,ne->", values, m, values) / n
     rhs = bar @ m @ bar + np.einsum("nd,de,ne->", deltas, m, deltas) / n
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
@@ -201,6 +162,117 @@ def test_json_rejects_malformed_documents(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ValueError):
         load_model(bad)
+
+
+def _rect_document():
+    """T=2, d_x=2, d_w=1: every reader default and shape check has work to do."""
+    stage = {"A": [[1.0, 0.1], [0.0, 0.9]], "B": [[1.0], [0.5]], "C": [[1.0, 0.5]],
+             "E": [[1.0], [0.0]], "Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[2.0]]}
+    return {
+        "dims": {"n": 2, "T": 2, "d_x": 2, "d_u": 1, "d_y": 1, "d_w": 1, "d_v": 1},
+        "stages": [dict(stage), dict(stage)],
+        "noise": {"mu_x": [0.5, -0.5], "Sigma_x": [[1.0, 0.1], [0.1, 1.0]],
+                  "Sigma_w": [[[0.5]], [[0.25]]], "Sigma_v": [[1.0]]},
+        "alpha": [1.0, 1.0],
+    }
+
+
+def test_rectangular_document_loads():
+    report = validate(from_json_dict(_rect_document()))
+    assert report.ok, report.violations
+
+
+@pytest.mark.parametrize("change, field", [
+    pytest.param(lambda d: d.update(alpha=[1.0, 1.0, 1.0]), "alpha", id="alpha-length"),
+    pytest.param(lambda d: d["dims"].update(d_w=2), r"stages\[0\]\.E", id="d_w-vs-E"),
+    pytest.param(lambda d: d["dims"].update(d_x=3), r"stages\[0\]\.A", id="d_x-vs-A"),
+    pytest.param(lambda d: d["noise"].update(mu_x=[0.5]), "mu_x", id="mu_x-length"),
+    pytest.param(lambda d: d["noise"]["Sigma_w"].append([[1.0]]), "Sigma_w",
+                 id="Sigma_w-count"),
+    pytest.param(lambda d: d["stages"].pop(), "stages", id="stages-count"),
+    pytest.param(lambda d: d["stages"][1].pop("R"), r"stages\[1\]: missing required matrix R",
+                 id="R-missing-in-stage-2"),
+    pytest.param(lambda d: d["noise"].pop("Sigma_v"), "Sigma_v", id="Sigma_v-missing"),
+    pytest.param(lambda d: d["stages"][0].update(A=[[1.0, 0.1, 0.0], [0.0, 0.9, 0.0]]),
+                 r"stages\[0\]\.A", id="A-shape"),
+    pytest.param(lambda d: d["stages"][0].update(A=1.0), r"stages\[0\]\.A",
+                 id="scalar-A-in-2x2"),
+    pytest.param(lambda d: d["stages"][1].update(C=[[1.0], [0.5, 1.0]]), r"stages\[1\]\.C",
+                 id="ragged-C"),
+])
+def test_malformed_document_names_the_field(change, field):
+    doc = _rect_document()
+    change(doc)
+    with pytest.raises(ValueError, match=field):
+        from_json_dict(doc)
+
+
+def test_omitted_and_single_stage_entries_take_defaults():
+    # E omitted with d_w != d_x is the rectangular identity; E_bar given in
+    # stage 2 only is zero in stage 1; a scalar 0 fills any slot with zeros
+    doc = _rect_document()
+    for stage in doc["stages"]:
+        del stage["E"]
+    doc["stages"][1]["E_bar"] = [[0.3], [0.1]]
+    doc["stages"][0]["Q_bar"] = 0
+    model = from_json_dict(doc)
+    np.testing.assert_array_equal(model.E, np.stack([np.eye(2, 1)] * 2))
+    np.testing.assert_array_equal(model.E_bar, [[[0.0], [0.0]], [[0.3], [0.1]]])
+    np.testing.assert_array_equal(model.Q_bar, np.zeros((2, 2, 2)))
+    np.testing.assert_array_equal(model.S, np.ones((2, 1, 1)))
+    np.testing.assert_array_equal(model.Sigma_v, np.ones((2, 1, 1)))
+
+
+def _random_rule(model, rng):
+    d = model.dims
+    return CustomLinear(*(rng.normal(size=(d.T - 1, d.d_u, cols))
+                          for cols in (d.d_x, d.d_x, d.d_y, d.d_y)))
+
+
+def _assert_rule_equal(rule, expected):
+    for key in ("theta", "phi", "psi", "omega"):
+        got, want = getattr(rule, key), getattr(expected, key)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_custom_rule_reads_every_stack_form(seed):
+    rng = np.random.default_rng(seed)
+    model = random_team(rng, T=(1, 2, 5)[seed % 3])
+    rule = _random_rule(model, rng)
+    read = CustomLinear.from_json_dict
+    # keyed "1".."T-1", exactly as the schedule writer emits it
+    keyed = json.loads(json.dumps(schedule_to_json_dict(rule)))
+    _assert_rule_equal(read(keyed, model), rule)
+    # plain (T-1, rows, cols) stacks
+    plain = {k: getattr(rule, k).tolist() for k in ("theta", "phi", "psi", "omega")}
+    _assert_rule_equal(read(plain, model), rule)
+    # one matrix reused at every stage, and 0 or an omitted key for zeros
+    stages = model.T - 1
+    theta0 = rule.theta[0] if stages else rng.normal(size=(model.dims.d_u, model.dims.d_x))
+    single = read({"theta": theta0.tolist(), "phi": 0}, model)
+    zeros = {k: np.zeros_like(getattr(rule, k)) for k in ("phi", "psi", "omega")}
+    _assert_rule_equal(single, CustomLinear(
+        theta=np.broadcast_to(theta0, rule.theta.shape).copy(), **zeros))
+
+
+def test_custom_rule_scalar_fills_one_by_one_slots():
+    model = scalar_pair_model(T=4)
+    rule = CustomLinear.from_json_dict({"theta": -0.4, "omega": 0.25}, model)
+    _assert_rule_equal(rule, CustomLinear(
+        theta=np.full((3, 1, 1), -0.4), phi=np.zeros((3, 1, 1)),
+        psi=np.zeros((3, 1, 1)), omega=np.full((3, 1, 1), 0.25)))
+
+
+@pytest.mark.parametrize("doc, field", [
+    pytest.param({"theta": {"1": [[0.5]], "3": [[0.5]]}}, "theta", id="keyed-missing-stage"),
+    pytest.param({"phi": [[[0.5]], [[0.5]]]}, "phi", id="stack-count"),
+    pytest.param({"psi": [[0.5, 0.5]]}, "psi", id="matrix-shape"),
+    pytest.param({"omega": "high"}, "omega", id="not-numeric"),
+])
+def test_malformed_custom_rule_names_the_field(doc, field):
+    with pytest.raises(ValueError, match=field):
+        CustomLinear.from_json_dict(doc, scalar_pair_model(T=4))
 
 
 def test_model_arrays_are_read_only(model_s1):

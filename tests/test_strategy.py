@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from teamlqg import deep_aggregate
 from teamlqg.filters import (
     precompute_global,
     precompute_local,
@@ -64,7 +63,7 @@ def test_aggregate_action_identity():
         gains = solve_riccati(model)
         trace = rollout(model, Optimal(), seed=42, index=index)
         for t in range(model.T - 1):
-            u_bar = deep_aggregate(trace.u[t], model.alpha)
+            u_bar = model.alpha @ trace.u[t] / model.n
             np.testing.assert_allclose(
                 u_bar, gains.gain_agg[t] @ trace.agg_xhat[t], atol=1e-10
             )
@@ -102,9 +101,9 @@ def test_custom_linear_aggregate_is_publicly_computable():
     y = simulate_truth(model, rng)["y"][0]
     delta, agg = _updated_estimates(model, y)
     u = kind.act(0, delta, agg, y.T[None], model.alpha)[0].T
-    y_bar = deep_aggregate(y, model.alpha)
+    y_bar = model.alpha @ y / model.n
     public = (kind.theta[0] + kind.phi[0]) @ agg[0] + (kind.psi[0] + kind.omega[0]) @ y_bar
-    np.testing.assert_allclose(deep_aggregate(u, model.alpha), public, atol=1e-10)
+    np.testing.assert_allclose(model.alpha @ u / model.n, public, atol=1e-10)
 
 
 def test_meanfield_trajectory_reference_values():
