@@ -215,27 +215,34 @@ def _write_trace_csv(path: str, traces) -> None:
 
 def _check_precomputed(model: TeamModel, directory: str) -> bool:
     """Re-derive all schedules and compare each stored document with the
-    fresh one; floats parse back exactly, so equal means bit for bit."""
+    fresh one; floats parse back exactly, so equal means bit for bit.  A
+    stored file that does not parse is not equal."""
     for name, doc in _schedules(model).items():
         path = os.path.join(directory, name)
         if not os.path.exists(path):
             raise _UsageError(f"precomputed file not found: {path}")
         with open(path, encoding="utf-8") as fh:
-            if json.load(fh) != doc:
+            try:
+                stored = json.load(fh)
+            except ValueError:      # not JSON, or not UTF-8
                 return False
+        if stored != doc:
+            return False
     return True
 
 
 def cmd_verify(args) -> int:
-    report = run_verification_suite(n_models=args.models, seed=args.seed,
-                                    mc_rollouts=args.rollouts,
-                                    workers=args.workers)
-    doc = report.to_json_dict()
+    roundtrip_ok = None
     if args.precomputed:
         if not args.model:
             raise _UsageError("--precomputed requires --model")
         model = _load_validated_model(args.model)
         roundtrip_ok = _check_precomputed(model, args.precomputed)
+    report = run_verification_suite(n_models=args.models, seed=args.seed,
+                                    mc_rollouts=args.rollouts,
+                                    workers=args.workers)
+    doc = report.to_json_dict()
+    if roundtrip_ok is not None:
         doc["precomputed_roundtrip_ok"] = roundtrip_ok
         doc["ok"] = doc["ok"] and roundtrip_ok
     if args.out:

@@ -12,11 +12,20 @@ The stepping kernel works agent-last: states, observations, actions,
 estimates and noise are (B, d, n) arrays, so every stage matrix applies as
 one stacked ``M @ x`` and agents are the contiguous axis.  Recorded traces
 are transposed once to the (T, n, d) layout of ``Trace``.
+
+Rollouts run in chunks of at most ``_default_chunk`` rollouts, whose noise
+bank fits ``BANK_BUDGET``; with more than one worker a chunk is also at most
+``ceil(rollouts / workers)``, so every worker gets a share.  Chunks go to one
+process pool per worker count, created on first use and kept for the life of
+the process; with one worker they run inline.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Optional
 
@@ -305,6 +314,32 @@ def _chunked(total: int, chunk: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
 
 
+@functools.cache
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The process pool of ``workers`` workers, shared by every caller.
+
+    Jobs sent to it run at one worker, so a worker never uses the copy of
+    this cache it inherits from the parent.
+    """
+    return ProcessPoolExecutor(max_workers=workers)
+
+
+def _pool_map(fn, jobs, workers: int) -> list:
+    """``fn`` over ``jobs`` in order: inline at one worker, else on the
+    shared pool, each job submitted as ``jobs`` yields it.
+
+    A worker that dies breaks its pool for good, so a broken pool is
+    dropped and the next call starts a new one.
+    """
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    try:
+        return list(_pool(workers).map(fn, jobs))
+    except BrokenProcessPool:
+        _pool.cache_clear()
+        raise
+
+
 def _run_strategies(model: TeamModel, kinds: tuple[StrategyKind, ...],
                     seed: int, n_rollouts: int, chunk: Optional[int],
                     workers: int, keep_traces: int = 0) -> list[RolloutBatch]:
@@ -312,20 +347,17 @@ def _run_strategies(model: TeamModel, kinds: tuple[StrategyKind, ...],
 
     Each strategy is prepared once; each chunk draws its noise once and
     steps every strategy through it.  ``chunk`` None sizes chunks by
-    ``_default_chunk``.
+    ``_default_chunk``, and splits them across ``workers``.
     """
     if n_rollouts <= 0:
         raise ValueError("n_rollouts must be positive")
     if chunk is None:
-        chunk = _default_chunk(model.dims)
+        chunk = min(_default_chunk(model.dims),
+                    math.ceil(n_rollouts / max(workers, 1)))
     preps = [_prepare(model, kind) for kind in kinds]
     jobs = [(model, preps, seed, lo, hi, max(0, min(keep_traces - lo, hi - lo)))
             for lo, hi in _chunked(n_rollouts, chunk)]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_chunk_job, jobs))
-    else:
-        parts = [_chunk_job(job) for job in jobs]
+    parts = _pool_map(_chunk_job, jobs, workers if len(jobs) > 1 else 1)
     return [_merge([part[i] for part in parts]) for i in range(len(kinds))]
 
 

@@ -7,6 +7,11 @@ to fine relative tolerance, the joint error covariance must equal its
 two-block assembly, and the stage-cost split must close.  A Monte Carlo
 section then checks sampled costs against the exact oracle on the two
 built-in scalar reference models.
+
+With more than one worker, each model is checked in the simulator's process
+pool as soon as it is drawn; models are drawn in the same order either way,
+and the reported maxima are exact, so they do not depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .filters import precompute_global, precompute_local, team_error_covariance
 from .model import TeamModel, make_model
 from .oracle import build_joint_model, centralized_filter, exact_cost
 from .random_models import random_team
-from .sim import evaluate_cost, run_rollouts
+from .sim import _mean_se, _pool_map, _run_strategies, run_rollouts
 from .strategy import CustomLinear, Optimal, StrategyKind, ZeroAction
 
 ESTIMATE_TOL = 1e-9
@@ -124,34 +129,44 @@ def check_one_model(model: TeamModel, kind: StrategyKind,
     return est_dev, cov_dev, batch.residual_max
 
 
+def _drawn(rng: np.random.Generator, n_models: int, seed: int):
+    """Each random model with its random rule and check seed, in draw order."""
+    for index in range(n_models):
+        model = random_team(rng)
+        yield model, _random_rule(model, rng), seed + index
+
+
+def _check_job(job) -> tuple[float, float, float]:
+    model, kind, seed = job
+    return check_one_model(model, kind, seed=seed)
+
+
 def run_verification_suite(n_models: int = 100, seed: int = 0,
                            mc_rollouts: int = 100_000,
                            workers: int = 1) -> VerificationReport:
     """Draw random models, compare against the joint oracle, sample costs."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
     est_dev = cov_dev = resid = 0.0
-    for index in range(n_models):
-        model = random_team(rng)
-        kind = _random_rule(model, rng)
-        e, c, r = check_one_model(model, kind, seed=seed + index)
+    for e, c, r in _pool_map(_check_job, _drawn(rng, n_models, seed), workers):
         est_dev, cov_dev, resid = max(est_dev, e), max(cov_dev, c), max(resid, r)
 
     checks = []
     uncoupled, coupled = reference_models()
+    kinds = (("zero", ZeroAction()), ("optimal", Optimal()))
     for label, model in (("uncoupled-pair", uncoupled), ("coupled-pair", coupled)):
-        for kind_label, kind in (("zero", ZeroAction()), ("optimal", Optimal())):
-            est = evaluate_cost(model, kind, seed=seed, n_rollouts=mc_rollouts,
-                                workers=workers)
+        batches = _run_strategies(model, tuple(kind for _, kind in kinds),
+                                  seed, mc_rollouts, None, workers)
+        for (kind_label, kind), batch in zip(kinds, batches):
+            mean, stderr = _mean_se(batch.costs)
             target = exact_cost(model, kind)
-            slack = MC_SIGMA * est.stderr
             checks.append(McCheck(
                 label=f"{label}/{kind_label}",
-                sampled=est.mean,
+                sampled=mean,
                 exact=target,
-                stderr=est.stderr,
-                ok=bool(abs(est.mean - target) <= slack),
+                stderr=stderr,
+                ok=bool(abs(mean - target) <= MC_SIGMA * stderr),
             ))
-            resid = max(resid, est.residual_max)
+            resid = max(resid, batch.residual_max)
 
     ok = (est_dev <= ESTIMATE_TOL and cov_dev <= COVARIANCE_TOL
           and resid <= RESIDUAL_TOL and all(c.ok for c in checks))

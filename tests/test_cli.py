@@ -216,6 +216,38 @@ def test_missing_precomputed_file_is_usage_error(model_file, tmp_path, capsys,
     assert "riccati.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--precomputed", "PRE"],
+    ["--model", "MODEL", "--precomputed", "PRE"],
+])
+def test_verify_usage_errors_come_before_the_suite(model_file, tmp_path,
+                                                   monkeypatch, capsys, flags):
+    def suite(**kwargs):
+        raise AssertionError("the suite ran before the usage error")
+
+    monkeypatch.setattr("teamlqg.cli.run_verification_suite", suite)
+    pre = tmp_path / "pre"      # never written: its schedules are missing
+    args = [{"PRE": str(pre), "MODEL": model_file}.get(a, a) for a in flags]
+    assert main(["verify", "--models", "100", *args]) == 64
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["riccati.json", "local_filter.json",
+                                  "global_filter.json"])
+def test_corrupt_precomputed_file_fails_the_roundtrip(model_file, tmp_path,
+                                                       name):
+    pre = tmp_path / "pre"
+    assert main(["precompute", "--model", model_file, "--out", str(pre)]) == 0
+    (pre / name).write_text("{broken")
+    out = tmp_path / "ver"
+    assert main(["verify", "--models", "0", "--rollouts", "200",
+                 "--workers", "1", "--out", str(out), "--model", model_file,
+                 "--precomputed", str(pre)]) == 1
+    doc = json.loads((out / "verification.json").read_text())
+    assert doc["precomputed_roundtrip_ok"] is False
+    assert doc["ok"] is False
+
+
 def _nudge_one_value(doc):
     value = doc["Sigma_post"]["1"][0][0]
     doc["Sigma_post"]["1"][0][0] = float(np.nextafter(value, np.inf))

@@ -1,5 +1,11 @@
 """Monte Carlo engine: reproducibility, cross-checks, cost comparisons."""
 
+import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -24,6 +30,7 @@ from teamlqg.strategy import (
     optimal_coefficients,
 )
 from teamlqg.random_models import random_team
+from teamlqg.verify import reference_models, run_verification_suite
 
 from conftest import scalar_pair_model
 from reference import (
@@ -120,6 +127,62 @@ def test_worker_pool_matches_inline(model_s2):
                           workers=2)
     np.testing.assert_array_equal(inline.costs, pooled.costs)
     assert inline.residual_max == pooled.residual_max
+
+
+def test_default_chunk_splits_across_workers_at_large_n(monkeypatch):
+    model = _coupled_pair_dims_model(n=1024, T=3)
+    assert sim._default_chunk(model.dims) >= 40
+    chunked, splits = sim._chunked, []
+
+    def spy(total, chunk):
+        splits.append(chunked(total, chunk))
+        return splits[-1]
+
+    monkeypatch.setattr(sim, "_chunked", spy)
+    pooled = run_rollouts(model, Optimal(), seed=23, n_rollouts=40, workers=2)
+    assert len(splits[0]) >= 2
+    inline = run_rollouts(model, Optimal(), seed=23, n_rollouts=40)
+    np.testing.assert_array_equal(inline.costs, pooled.costs)
+    np.testing.assert_array_equal(inline.ms_correction, pooled.ms_correction)
+
+
+def test_pooled_calls_reuse_the_same_workers(model_s2):
+    run_rollouts(model_s2, Optimal(), seed=5, n_rollouts=64, workers=2)
+    first = {p.pid for p in multiprocessing.active_children()}
+    run_rollouts(model_s2, MeanField(), seed=6, n_rollouts=64, workers=2)
+    assert first
+    assert {p.pid for p in multiprocessing.active_children()} == first
+
+
+def test_a_lost_worker_fails_only_the_calls_of_its_pool(model_s2):
+    run_rollouts(model_s2, Optimal(), seed=5, n_rollouts=64, workers=2)
+    os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+    with pytest.raises(BrokenProcessPool):
+        for _ in range(50):     # the pool notices the loss asynchronously
+            run_rollouts(model_s2, Optimal(), seed=5, n_rollouts=64, workers=2)
+            time.sleep(0.1)
+    pooled = run_rollouts(model_s2, Optimal(), seed=5, n_rollouts=64, workers=2)
+    inline = run_rollouts(model_s2, Optimal(), seed=5, n_rollouts=64)
+    np.testing.assert_array_equal(pooled.costs, inline.costs)
+
+
+def test_pooled_verification_suite_matches_inline():
+    inline = run_verification_suite(n_models=6, seed=3, mc_rollouts=300)
+    pooled = run_verification_suite(n_models=6, seed=3, mc_rollouts=300,
+                                    workers=2)
+    assert pooled.to_json_dict() == inline.to_json_dict()
+
+
+def test_verification_mc_checks_match_separate_estimates():
+    """Sharing one noise bank between the reference strategies changes no
+    sampled value."""
+    report = run_verification_suite(n_models=0, seed=4, mc_rollouts=500)
+    expected = []
+    for model in reference_models():
+        for kind in (ZeroAction(), Optimal()):
+            est = evaluate_cost(model, kind, seed=4, n_rollouts=500)
+            expected.append((est.mean, est.stderr))
+    assert [(c.sampled, c.stderr) for c in report.mc_checks] == expected
 
 
 def test_engine_matches_stepwise_filters():
