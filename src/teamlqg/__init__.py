@@ -2,7 +2,6 @@
 
 from .errors import (
     InfluenceError,
-    JointSizeError,
     NonFiniteCostError,
     RiccatiError,
     SingularInnovationError,
@@ -43,7 +42,6 @@ from .strategy import (
 )
 from .oracle import (
     brute_force_optimize,
-    build_joint_model,
     centralized_filter,
     exact_cost,
 )

@@ -15,12 +15,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import (
-    JointSizeError,
-    NonFiniteCostError,
-    RiccatiError,
-    SingularInnovationError,
-)
+from .errors import NonFiniteCostError, RiccatiError, SingularInnovationError
 from .filters import precompute_global, precompute_local, schedule_to_json_dict
 from .model import TeamModel, load_model, validate
 from .riccati import solve_riccati
@@ -34,8 +29,10 @@ EXIT_INVALID = 1
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 
-_NUMERICAL_ERRORS = (RiccatiError, SingularInnovationError, JointSizeError,
-                     NonFiniteCostError)
+_NUMERICAL_ERRORS = (RiccatiError, SingularInnovationError, NonFiniteCostError)
+
+# the smallest value of each count flag, checked before any work
+_MINIMUM_COUNTS = {"rollouts": 1, "models": 0, "trace_rollouts": 0}
 
 
 class _UsageError(Exception):
@@ -185,16 +182,12 @@ def _write_trace_csv(path: str, traces) -> None:
     """
 
     def emit(fh, rollout, name, array, aggregate):
-        for t in range(array.shape[0]):
-            if aggregate:
-                for comp, value in enumerate(array[t].reshape(-1)):
-                    fh.write(f"{rollout},{t + 1},-1,{name},{comp + 1},"
+        for t, stage in enumerate(array[:, None] if aggregate else array):
+            for agent, values in enumerate(stage):
+                label = -1 if aggregate else agent + 1
+                for comp, value in enumerate(values.reshape(-1)):
+                    fh.write(f"{rollout},{t + 1},{label},{name},{comp + 1},"
                              f"{_fmt(value)}\n")
-            else:
-                for agent in range(array.shape[1]):
-                    for comp, value in enumerate(array[t, agent].reshape(-1)):
-                        fh.write(f"{rollout},{t + 1},{agent + 1},{name},"
-                                 f"{comp + 1},{_fmt(value)}\n")
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("rollout,t,agent,variable,component,value\n")
@@ -275,8 +268,7 @@ def cmd_convergence(args) -> int:
         model = benchmark_convergence_model()
     n_list = _parse_n_list(args.n_list)
     result = convergence_experiment(model, n_list, rollouts=args.rollouts,
-                                    seed=args.seed, oracle_cap=args.oracle_cap,
-                                    workers=args.workers)
+                                    seed=args.seed, workers=args.workers)
     out = _ensure_out(args.out)
     csv_path = os.path.join(out, "convergence.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
@@ -298,7 +290,7 @@ def cmd_convergence(args) -> int:
                     model=(os.path.abspath(args.model) if args.model
                            else "builtin:benchmark"),
                     n_list=list(n_list), seed=args.seed,
-                    rollouts=args.rollouts, oracle_cap=args.oracle_cap)
+                    rollouts=args.rollouts)
     print(f"slopes: sigma {_fmt(result.slope_sigma)}, "
           f"correction {_fmt(result.slope_correction)}, "
           f"gap {_fmt(result.slope_gap)}")
@@ -353,7 +345,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n-list", default="4,16,64,256")
     p.add_argument("--rollouts", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oracle-cap", type=int, default=256)
+    # the oracle runs at every n; the old cap is accepted and ignored
+    p.add_argument("--oracle-cap", type=int, help=argparse.SUPPRESS)
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_convergence)
@@ -364,6 +357,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, low in _MINIMUM_COUNTS.items():
+            if getattr(args, name, low) < low:
+                flag = "--" + name.replace("_", "-")
+                raise _UsageError(f"{flag} must be at least {low}")
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

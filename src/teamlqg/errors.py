@@ -7,25 +7,19 @@ class InfluenceError(ValueError):
     """Raised when an influence vector cannot be normalized or is unusable."""
 
 
-class RiccatiError(RuntimeError):
+class _StageError(RuntimeError):
+    def __init__(self, message: str, t: int):
+        super().__init__(f"{message} at t={t}")
+        self.t = t
+
+
+class RiccatiError(_StageError):
     """Raised when a Riccati recursion hits a non-positive-definite inner
     matrix or non-finite values."""
 
-    def __init__(self, message: str, t: int):
-        super().__init__(f"{message} at t={t}")
-        self.t = t
 
-
-class SingularInnovationError(RuntimeError):
+class SingularInnovationError(_StageError):
     """Raised when an innovation covariance is numerically singular."""
-
-    def __init__(self, message: str, t: int):
-        super().__init__(f"{message} at t={t}")
-        self.t = t
-
-
-class JointSizeError(ValueError):
-    """Raised when a requested joint model exceeds the configured size cap."""
 
 
 class NonFiniteCostError(RuntimeError):

@@ -175,32 +175,37 @@ def combined_agent_estimate(delta_xhat, agg_xhat, alpha):
     Accepts a single deviation row with a scalar influence factor, or the
     full (n, d_x) stack with the influence vector.
     """
-    delta_xhat = np.asarray(delta_xhat, dtype=float)
-    agg_xhat = np.asarray(agg_xhat, dtype=float)
-    if delta_xhat.ndim == 1:
-        return delta_xhat + float(alpha) * agg_xhat
-    return delta_xhat + np.outer(np.asarray(alpha, dtype=float), agg_xhat)
+    return np.asarray(delta_xhat, dtype=float) + np.multiply.outer(
+        np.asarray(alpha, dtype=float), np.asarray(agg_xhat, dtype=float))
 
 
 def team_error_covariance(
     local: FilterSchedule,
     glob: FilterSchedule,
     alpha: np.ndarray,
+    n: int,
     t: int,
     phase: str = "updated",
 ) -> np.ndarray:
-    """Joint covariance of all n per-agent estimation errors at stage t.
+    """Joint covariance of the team's per-agent estimation errors at stage t.
 
     Block (i, j) combines the deviation-error covariance, which carries the
     index-invariant factor (delta_ij - alpha_i alpha_j / n), with the shared
-    aggregate error weighted by alpha_i alpha_j.
+    aggregate error weighted by alpha_i alpha_j.  Both weights keep their
+    form under an orthogonal change of agent coordinates, so ``alpha`` may
+    be the influence vector in any orthonormal agent basis, or in part of
+    one such as the oracle's reduced team; ``n`` is always the real team
+    size.
     """
     alpha = np.asarray(alpha, dtype=float)
-    n = alpha.shape[0]
     sig = local.Sigma_post[t] if phase == "updated" else local.Sigma_pred[t]
     sig_agg = glob.Sigma_post[t] if phase == "updated" else glob.Sigma_pred[t]
-    weights = np.eye(n) - np.outer(alpha, alpha) / n
-    return np.kron(weights, sig) + np.kron(np.outer(alpha, alpha), sig_agg)
+    shared = np.outer(alpha, alpha)
+    weights = np.eye(alpha.shape[0]) - shared / n
+    blocks = (np.einsum("ij,kl->ikjl", weights, sig)        # np.kron, without
+              + np.einsum("ij,kl->ikjl", shared, sig_agg))  # its call overhead
+    size = blocks.shape[0] * blocks.shape[1]
+    return blocks.reshape(size, size)
 
 
 # ---------------------------------------------------------------------------

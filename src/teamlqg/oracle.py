@@ -1,16 +1,16 @@
-"""Centralized oracle: joint model, textbook filter, exact costs, brute force.
+"""Centralized oracle: textbook filter, exact costs, brute force.
 
-Everything here deliberately ignores the decentralized structure.  The team
-is flattened into one big linear-Gaussian system (agent-major stacking) and
-a standard Kalman filter conditions on all observations at once.  Expected
-costs are computed by propagating the mean and covariance of the closed
-loop formed by a strategy together with its estimator internals.  Every
-team matrix there has the form I (x) X + (terms in 1 and alpha) (x) Y, so
-the loop is propagated on an orthonormal basis of span{1, alpha} plus one
-agent for the orthogonal complement, counted n - r times in the cost: at
-most three virtual agents, whatever n is.  These routines are the
-independent ground truth the decentralized modules are checked against, so
-none of them may reuse the decentralized recursions.
+Everything here deliberately ignores the decentralized structure.  Every
+team matrix has the form I (x) X + (terms in 1 and alpha) (x) Y and every
+noise covariance is I (x) Sigma, so an orthogonal change of agent
+coordinates splits the team into span{1, alpha} and n - r identical,
+decoupled agents on its complement: at most three virtual agents, whatever
+n is.  On their flattened linear-Gaussian system a standard Kalman filter
+conditions on all observations at once, and expected costs propagate the
+moments of the closed loop of a strategy and its estimator internals.
+These routines are the independent ground truth the decentralized modules
+are checked against, so none of them may reuse the decentralized
+recursions.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import JointSizeError
 from .filters import _checked_gain, precompute_global, precompute_local
-from .model import Dimensions, TeamModel
+from .model import TeamModel
 from .riccati import solve_riccati
 from .strategy import (
     CustomLinear,
@@ -33,19 +32,14 @@ from .strategy import (
     optimal_coefficients,
 )
 
-DEFAULT_JOINT_CAP = 64
-
 
 @dataclass(frozen=True)
 class JointModel:
-    """The team flattened to one linear-Gaussian system, agent-major.
+    """A team's agents flattened to one linear-Gaussian system, agent-major.
 
-    ``build_joint_model`` gives all n * d_x states; ``exact_cost`` uses the
-    same layout over the virtual agents of ``_Team.reduced``.  ``dims``
-    always describes the model.
+    The oracle builds it over the virtual agents of ``_Team.reduced``.
     """
 
-    dims: Dimensions
     A: np.ndarray
     B: np.ndarray
     E: np.ndarray
@@ -61,19 +55,17 @@ class JointModel:
 
 @dataclass(frozen=True)
 class JointFilterRun:
-    """Centralized filter output: moments before and after each update."""
+    """Centralized filter output: updated means, and covariances before and
+    after each update."""
 
-    mean_pred: np.ndarray
     mean_post: np.ndarray
     Sigma_pred: np.ndarray
     Sigma_post: np.ndarray
-    gain: np.ndarray
 
 
 @dataclass(frozen=True)
 class _Team:
-    """The agents a system is assembled over: the whole team, or the reduced
-    team the exact cost propagates.
+    """The agents a system is assembled over.
 
     ``alpha`` and ``ones`` are the influence vector and the all-ones vector
     in these agents' coordinates, ``weight`` counts how many real agents
@@ -91,26 +83,19 @@ class _Team:
         return self.alpha.shape[0]
 
     @classmethod
-    def full(cls, model: TeamModel) -> "_Team":
-        """Every agent of the team, in its own coordinates."""
-        n = model.n
-        return cls(n, model.alpha, np.ones(n), np.ones(n))
-
-    @classmethod
     def reduced(cls, model: TeamModel) -> "_Team":
-        """An orthonormal basis of span{1, alpha} plus one complement agent.
+        """The basis u1, u2 of span{1, alpha} (``_span_basis``) plus one
+        complement agent.
 
-        With u1 = 1 / sqrt(n) and u2 = (alpha - mean) / |alpha - mean| the
-        coordinates of 1 are (sqrt(n), 0) and those of alpha are
-        (mean * sqrt(n), |alpha - mean|); u2 is dropped when alpha is
-        uniform.  Every team matrix acts on the orthogonal complement as
-        I (x) X, and neither the mean nor any offset has a component there,
-        so its n - r agents are independent copies of one zero-mean agent
-        with no influence, counted n - r times in the cost.
+        1 has coordinates (sqrt(n), 0) and alpha (mean * sqrt(n),
+        |alpha - mean|); u2 is dropped when alpha is uniform.  Team matrices
+        act on the complement as I (x) X and no mean reaches it, so its
+        n - r agents are copies of one zero-mean agent with no influence,
+        counted n - r times in the cost.
         """
         n = model.n
         root = np.sqrt(n)
-        spread = float(np.linalg.norm(model.alpha - model.alpha_mean))
+        spread = _alpha_spread(model)
         alpha, ones = [model.alpha_mean * root], [root]
         if spread > 0.0:
             alpha.append(spread)
@@ -123,21 +108,28 @@ class _Team:
         return cls(n, np.array(alpha), np.array(ones), np.array(weight))
 
 
+def _alpha_spread(model: TeamModel) -> float:
+    """|alpha - mean|, or 0 below 1e-13 |alpha|, the rounding of a uniform alpha."""
+    spread = float(np.linalg.norm(model.alpha - model.alpha_mean))
+    return spread if spread > 1e-13 * np.linalg.norm(model.alpha) else 0.0
+
+
+def _span_basis(model: TeamModel) -> np.ndarray:
+    """The orthonormal basis (n, r) of span{1, alpha} behind ``_Team.reduced``."""
+    n = model.n
+    columns = [np.full(n, 1.0 / np.sqrt(n))]
+    if _alpha_spread(model) > 0.0:
+        offset = model.alpha - model.alpha_mean
+        offset -= offset.mean()     # orthogonal to 1 even for a small spread
+        columns.append(offset / np.linalg.norm(offset))
+    return np.stack(columns, axis=1)
+
+
 def _kron_stack(P: np.ndarray, X: np.ndarray) -> np.ndarray:
     """``np.kron(P, X[t])`` for every t of a stack X of shape (T, a, b)."""
     T, a, b = X.shape
     p, q = P.shape
     return np.einsum("ij,tkl->tikjl", P, X).reshape(T, p * a, q * b)
-
-
-def build_joint_model(model: TeamModel, cap: int = DEFAULT_JOINT_CAP) -> JointModel:
-    """Assemble the joint system, refusing team sizes beyond ``cap`` states."""
-    d = model.dims
-    if d.n * d.d_x > cap:
-        raise JointSizeError(
-            f"joint model needs {d.n * d.d_x} states, above the cap of {cap}"
-        )
-    return _assemble(model, _Team.full(model))
 
 
 def _assemble(model: TeamModel, team: _Team) -> JointModel:
@@ -153,7 +145,6 @@ def _assemble(model: TeamModel, team: _Team) -> JointModel:
         return _kron_stack(own, local) + _kron_stack(W, shared)
 
     return JointModel(
-        dims=model.dims,
         A=couple(model.A, model.A_bar),
         B=couple(model.B, model.B_bar),
         E=couple(model.E, model.E_bar),
@@ -161,8 +152,8 @@ def _assemble(model: TeamModel, team: _Team) -> JointModel:
         S=couple(model.S, model.S_bar),
         Qx=couple(model.Q, model.Q_bar, counts) / team.n,
         Ru=couple(model.R, model.R_bar, counts) / team.n,
-        mu=np.kron(team.ones, model.mu_x),
-        Sigma_x=np.kron(eye, model.Sigma_x),
+        mu=np.outer(team.ones, model.mu_x).reshape(-1),
+        Sigma_x=_kron_stack(eye, model.Sigma_x[None])[0],
         Sigma_w=_kron_stack(eye, model.Sigma_w),
         Sigma_v=_kron_stack(eye, model.Sigma_v),
     )
@@ -171,36 +162,65 @@ def _assemble(model: TeamModel, team: _Team) -> JointModel:
 def centralized_filter(joint: JointModel, y: np.ndarray, u: np.ndarray) -> JointFilterRun:
     """Textbook Kalman filter on the joint system.
 
-    ``y`` has shape (T, n, d_y) and ``u`` shape (T - 1, n, d_u); both are
-    flattened agent-major to match the joint stacking.
+    ``y`` has shape (..., T, m * d_y) and ``u`` shape (..., T - 1, m * d_u),
+    each stage's values of the system's m agents stacked agent-major like
+    the joint states.  Leading axes are a batch of trajectories, which the
+    means run over and the covariances share.  Sizes come from the arrays.
     """
-    d = joint.dims
-    T, N = d.T, d.n * d.d_x
-    ny = d.n * d.d_y
-    mean_pred = np.zeros((T, N))
-    mean_post = np.zeros((T, N))
+    T, N, _ = joint.A.shape
+    mean = joint.mu
+    mean_post = np.zeros(y.shape[:-2] + (T, N))
     sig_pred = np.zeros((T, N, N))
     sig_post = np.zeros((T, N, N))
-    gain = np.zeros((T, N, ny))
-    mean_pred[0] = joint.mu
     sig_pred[0] = joint.Sigma_x
     for t in range(T):
         noise = joint.S[t] @ joint.Sigma_v[t] @ joint.S[t].T
-        gain[t] = _checked_gain(sig_pred[t], joint.C[t], noise, t, "joint")
-        innov = np.asarray(y[t], dtype=float).reshape(-1) - joint.C[t] @ mean_pred[t]
-        mean_post[t] = mean_pred[t] + gain[t] @ innov
-        post = (np.eye(N) - gain[t] @ joint.C[t]) @ sig_pred[t]
+        gain = _checked_gain(sig_pred[t], joint.C[t], noise, t, "joint")
+        innov = y[..., t, :] - mean @ joint.C[t].T
+        mean_post[..., t, :] = mean + innov @ gain.T
+        post = (np.eye(N) - gain @ joint.C[t]) @ sig_pred[t]
         sig_post[t] = 0.5 * (post + post.T)
         if t + 1 < T:
-            u_vec = np.asarray(u[t], dtype=float).reshape(-1)
-            mean_pred[t + 1] = joint.A[t] @ mean_post[t] + joint.B[t] @ u_vec
+            mean = mean_post[..., t, :] @ joint.A[t].T + u[..., t, :] @ joint.B[t].T
             nxt = (joint.A[t] @ sig_post[t] @ joint.A[t].T
                    + joint.E[t] @ joint.Sigma_w[t] @ joint.E[t].T)
             sig_pred[t + 1] = 0.5 * (nxt + nxt.T)
-    return JointFilterRun(
-        mean_pred=mean_pred, mean_post=mean_post,
-        Sigma_pred=sig_pred, Sigma_post=sig_post, gain=gain,
-    )
+    return JointFilterRun(mean_post, sig_pred, sig_post)
+
+
+def centralized_estimates(model: TeamModel, y: np.ndarray,
+                          u: np.ndarray) -> tuple[np.ndarray, JointFilterRun]:
+    """Every agent's centralized estimate on one trajectory, via the reduced team.
+
+    ``y`` (T, n, d_y) and ``u`` (T - 1, n, d_u) enter ``centralized_filter``
+    on ``_Team.reduced`` as n batch rows: each holds U_r^T y, the span
+    coordinates on the basis U_r, and row i's complement slot agent i's
+    complement row y_i - (U_r U_r^T y)_i.  The complement filter is linear,
+    with zero prior mean, and alike in every complement direction, so it
+    needs no basis there.  Returns the estimates U_r (span means) plus the
+    complement rows, (T, n, d_x), and the run, whose covariances are in the
+    reduced team's coordinates.
+    """
+    team = _Team.reduced(model)
+    basis = _span_basis(model)
+    r = basis.shape[1]
+
+    def slots(v: np.ndarray) -> np.ndarray:
+        span = basis.T @ v
+        T, _, d = v.shape
+        rows = np.zeros((model.n, T, team.size, d))
+        rows[:, :, :r] = span
+        if team.size > r:
+            rest = v - basis @ span
+            rows[:, :, r] = rest.transpose(1, 0, 2)
+        return rows.reshape(model.n, T, team.size * d)
+
+    run = centralized_filter(_assemble(model, team), slots(y), slots(u))
+    means = run.mean_post.reshape(model.n, model.T, team.size, -1)
+    estimates = basis @ means[0, :, :r]
+    if team.size > r:
+        estimates += means[:, :, r].transpose(1, 0, 2)
+    return estimates, run
 
 
 # ---------------------------------------------------------------------------

@@ -425,7 +425,7 @@ class ConvergenceRow:
     ms_correction: float         # mean summed squared aggregate-filter update
     cost_gap: float              # paired Monte Carlo mean-field excess cost
     gap_se: float
-    exact_gap: float             # oracle value, nan where n * d_x > oracle_cap
+    exact_gap: float             # oracle value
 
 
 @dataclass(frozen=True)
@@ -444,7 +444,6 @@ def _log_slope(ns: np.ndarray, values: np.ndarray) -> float:
 
 def convergence_experiment(model: TeamModel, n_list: tuple[int, ...],
                            rollouts: int = 10_000, seed: int = 0,
-                           oracle_cap: int = 256,
                            workers: int = 1) -> ConvergenceResult:
     """Measure how aggregate uncertainty and suboptimality shrink with n.
 
@@ -455,10 +454,8 @@ def convergence_experiment(model: TeamModel, n_list: tuple[int, ...],
     under the optimal strategy, and the paired common-noise cost excess of
     the mean-field strategy over the optimal one; the corrections are read
     from the optimal pass of that paired run.  Log-log slopes near -1 are
-    the expected signature.  The exact gap from the oracle is reported for
-    sizes with n * d_x up to ``oracle_cap`` and is NaN above it; the cap
-    only limits what is reported, since the oracle's cost does not grow
-    with n.
+    the expected signature.  The exact gap from the oracle is reported at
+    every size, since the oracle's cost does not grow with n.
     """
     from .model import resize_team
     from .oracle import exact_cost
@@ -472,10 +469,7 @@ def convergence_experiment(model: TeamModel, n_list: tuple[int, ...],
             sized, (MeanField(), Optimal()), seed, rollouts, None,
             workers)
         gap, se = _mean_se(meanfield.costs - optimal.costs)
-        if n * sized.dims.d_x <= oracle_cap:
-            exact_gap = exact_cost(sized, MeanField()) - exact_cost(sized, Optimal())
-        else:
-            exact_gap = float("nan")
+        exact_gap = exact_cost(sized, MeanField()) - exact_cost(sized, Optimal())
         rows.append(ConvergenceRow(
             n=n,
             max_sigma_bar=max_sigma,

@@ -145,6 +145,25 @@ def noise_bank(model, seed, start, stop):
     return {"x1": x1, "w": w, "v": v}
 
 
+def _all_agents(model):
+    """The team as the oracle's ``_Team``: every agent in its own coordinates."""
+    from teamlqg.oracle import _Team
+
+    n = model.n
+    return _Team(n, model.alpha, np.ones(n), np.ones(n))
+
+
+def dense_joint_model(model):
+    """The dense n * d_x joint system of the whole team, agent-major.
+
+    The package propagates only the reduced team; this is the ground truth
+    that the reduced filter and costs are held against.
+    """
+    from teamlqg.oracle import _assemble
+
+    return _assemble(model, _all_agents(model))
+
+
 def joint_exact_cost(model, kind):
     """Exact expected cost by moment propagation on the full joint system.
 
@@ -152,12 +171,12 @@ def joint_exact_cost(model, kind):
     every agent], with the stage maps built for the whole team, so this
     cross-checks the reduced team the package propagates.
     """
-    from teamlqg.oracle import _policy_maps, _Team, build_joint_model
+    from teamlqg.oracle import _policy_maps
 
     d = model.dims
     N = d.n * d.d_x
-    joint = build_joint_model(model, cap=N)
-    s0, maps = _policy_maps(model, kind, _Team.full(model))
+    joint = dense_joint_model(model)
+    s0, maps = _policy_maps(model, kind, _all_agents(model))
     ds = s0.shape[0]
     nz = N + ds
 

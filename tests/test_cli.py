@@ -232,6 +232,30 @@ def test_verify_usage_errors_come_before_the_suite(model_file, tmp_path,
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--model", "MODEL", "--rollouts", "0"]),
+    ("simulate", ["--model", "MODEL", "--record", "full",
+                  "--trace-rollouts", "-1"]),
+    ("verify", ["--rollouts", "0"]),
+    ("verify", ["--models", "-3"]),
+    ("convergence", ["--rollouts", "0"]),
+])
+def test_bad_counts_are_usage_errors_before_any_work(model_file, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     command, flags):
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the usage error")
+
+    for name in ("run_rollouts", "run_verification_suite",
+                 "convergence_experiment", "_load_validated_model"):
+        monkeypatch.setattr(f"teamlqg.cli.{name}", work)
+    out = tmp_path / "out"
+    args = [model_file if a == "MODEL" else a for a in flags]
+    assert main([command, *args, "--workers", "1", "--out", str(out)]) == 64
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["riccati.json", "local_filter.json",
                                   "global_filter.json"])
 def test_corrupt_precomputed_file_fails_the_roundtrip(model_file, tmp_path,

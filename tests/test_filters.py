@@ -199,7 +199,7 @@ def test_dead_observation_model_raises():
 def test_team_error_covariance_scalar_values(model_s1):
     local = precompute_local(model_s1)
     glob = precompute_global(model_s1)
-    cov = team_error_covariance(local, glob, model_s1.alpha, 0, "updated")
+    cov = team_error_covariance(local, glob, model_s1.alpha, 2, 0, "updated")
     # uncoupled unit-influence pair: independent agents with variance 1/2
     np.testing.assert_allclose(cov, 0.5 * np.eye(2), atol=1e-12)
 

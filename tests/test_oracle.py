@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from teamlqg import JointSizeError, make_model
+from teamlqg import make_model
 from teamlqg.filters import (
     combined_agent_estimate,
     precompute_global,
@@ -12,9 +12,10 @@ from teamlqg.filters import (
 )
 from teamlqg.model import normalize_influence, resize_team
 from teamlqg.oracle import (
+    _span_basis,
     _Team,
     brute_force_optimize,
-    build_joint_model,
+    centralized_estimates,
     centralized_filter,
     exact_cost,
     fd_gradient,
@@ -31,14 +32,31 @@ from teamlqg.strategy import (
     ZeroAction,
     optimal_coefficients,
 )
-from teamlqg.verify import _random_rule
+from teamlqg.verify import (
+    COVARIANCE_TOL,
+    ESTIMATE_TOL,
+    RESIDUAL_TOL,
+    _random_rule,
+    check_one_model,
+)
 
 from conftest import scalar_pair_model
-from reference import joint_exact_cost, run_decentralized_filters, simulate_truth
+from reference import (
+    dense_joint_model,
+    joint_exact_cost,
+    run_decentralized_filters,
+    simulate_truth,
+)
+
+
+def _flat(traj):
+    """A trajectory's observations and actions, stacked agent-major per stage."""
+    return (traj["y"].reshape(len(traj["y"]), -1),
+            traj["u"].reshape(len(traj["u"]), -1))
 
 
 def test_joint_assembly_uncoupled_pair(model_s1):
-    joint = build_joint_model(model_s1)
+    joint = dense_joint_model(model_s1)
     eye = np.eye(2)
     for t in range(2):
         np.testing.assert_array_equal(joint.A[t], eye)
@@ -52,15 +70,10 @@ def test_joint_assembly_uncoupled_pair(model_s1):
 
 def test_joint_assembly_coupled_pair(model_s2):
     """Shared terms spread over the influence outer product."""
-    joint = build_joint_model(model_s2)
+    joint = dense_joint_model(model_s2)
     np.testing.assert_allclose(joint.A[0], [[1.5, 0.5], [0.5, 1.5]], atol=1e-15)
     np.testing.assert_allclose(joint.Qx[0], [[0.75, 0.25], [0.25, 0.75]], atol=1e-15)
     np.testing.assert_array_equal(joint.B[0], np.eye(2))
-
-
-def test_joint_size_cap(model_s1):
-    with pytest.raises(JointSizeError):
-        build_joint_model(model_s1, cap=1)
 
 
 def test_centralized_filter_matches_decentralized_estimates():
@@ -76,7 +89,7 @@ def test_centralized_filter_matches_decentralized_estimates():
         d = model.dims
         traj = simulate_truth(model, rng)
         deltas, aggs = run_decentralized_filters(model, traj["y"], traj["u"])
-        run = centralized_filter(build_joint_model(model), traj["y"], traj["u"])
+        run = centralized_filter(dense_joint_model(model), *_flat(traj))
         joint_means = run.mean_post.reshape(d.T, d.n, d.d_x)
         combined = np.stack([
             combined_agent_estimate(deltas[t], aggs[t], model.alpha)
@@ -98,12 +111,95 @@ def test_joint_covariance_matches_team_assembly():
         local = precompute_local(model)
         glob = precompute_global(model)
         traj = simulate_truth(model, rng)
-        run = centralized_filter(build_joint_model(model), traj["y"], traj["u"])
+        run = centralized_filter(dense_joint_model(model), *_flat(traj))
         for t in range(d.T):
             for phase, sig in (("predicted", run.Sigma_pred[t]),
                                ("updated", run.Sigma_post[t])):
-                assembled = team_error_covariance(local, glob, model.alpha, t, phase)
+                assembled = team_error_covariance(local, glob, model.alpha,
+                                                  model.n, t, phase)
                 np.testing.assert_allclose(assembled, sig, rtol=1e-9, atol=1e-9)
+
+
+def _expand(reduced, basis, d_x):
+    """A reduced-team covariance in agent coordinates: its span block on the
+    basis, its complement block on every direction orthogonal to it."""
+    n, r = basis.shape
+    k = r * d_x
+    span = np.kron(basis, np.eye(d_x))
+    dense = span @ reduced[:k, :k] @ span.T
+    if reduced.shape[0] > k:
+        assert np.abs(reduced[:k, k:]).max() <= 1e-12 * np.abs(reduced).max()
+        dense += np.kron(np.eye(n) - basis @ basis.T, reduced[k:, k:])
+    return dense
+
+
+def _assert_reduced_matches_dense(model, rng):
+    """The reduced team's estimates and covariances equal the dense joint
+    filter's on one trajectory."""
+    d = model.dims
+    traj = simulate_truth(model, rng)
+    estimates, run = centralized_estimates(model, traj["y"], traj["u"])
+    dense = centralized_filter(dense_joint_model(model), *_flat(traj))
+    dense_means = dense.mean_post.reshape(d.T, d.n, d.d_x)
+    scale = max(1.0, float(np.abs(dense_means).max()))
+    assert np.abs(estimates - dense_means).max() <= 1e-9 * scale
+    basis = _span_basis(model)
+    for reduced, full in ((run.Sigma_pred, dense.Sigma_pred),
+                          (run.Sigma_post, dense.Sigma_post)):
+        for t in range(d.T):
+            np.testing.assert_allclose(_expand(reduced[t], basis, d.d_x),
+                                       full[t], rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_reduced_filter_matches_dense_reference_signed_influence(n):
+    """Two span directions; at n = 2 there is no complement slot."""
+    rng = np.random.default_rng(500 + n)
+    alpha = normalize_influence([1.0, -0.6, 1.4, -1.2, 0.8, 0.5, -1.5, 1.1][:n])
+    model = _two_state_team(rng, alpha)
+    assert _span_basis(model).shape == (n, 2)
+    _assert_reduced_matches_dense(model, rng)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_reduced_filter_matches_dense_reference_uniform_influence(n):
+    """One span direction, r = 1."""
+    rng = np.random.default_rng(600 + n)
+    model = _two_state_team(rng, np.ones(n))
+    assert _span_basis(model).shape == (n, 1)
+    _assert_reduced_matches_dense(model, rng)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("offset, r", [(1e-16, 1), (1e-9, 2)])
+def test_reduced_filter_matches_dense_reference_nearly_uniform_influence(
+        n, offset, r):
+    """A spread at rounding level counts as uniform.  A small true spread
+    keeps a second direction, which must stay orthogonal to 1: at n = 2 no
+    complement slot takes up what the span block misses."""
+    rng = np.random.default_rng(700 + n)
+    alpha = normalize_influence(
+        1.0 + offset * np.array([1.0, -2.0, 0.5, 3.0, -1.0])[:n])
+    model = _two_state_team(rng, alpha)
+    assert _span_basis(model).shape == (n, r)
+    _assert_reduced_matches_dense(model, rng)
+
+
+def test_reduced_filter_matches_dense_reference_on_random_teams():
+    rng = np.random.default_rng(4242)
+    for _ in range(8):
+        _assert_reduced_matches_dense(random_team(rng), rng)
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_check_one_model_at_large_n(n):
+    """The centralized cross-check holds far beyond the dense system's reach."""
+    rng = np.random.default_rng(n)
+    model = random_team(rng, n=n)
+    est, cov, resid = check_one_model(model, _random_rule(model, rng), seed=n)
+    assert est <= ESTIMATE_TOL
+    assert cov <= COVARIANCE_TOL
+    assert resid <= RESIDUAL_TOL
 
 
 def test_exact_cost_zero_strategy_single_stage():

@@ -356,6 +356,17 @@ def test_convergence_scaling():
         assert abs(row.cost_gap - row.exact_gap) <= 4.0 * row.gap_se
 
 
+def test_exact_gap_at_every_n():
+    """The oracle's gap is finite at every n, and under uniform influence
+    n * exact_gap does not depend on n.  Measured spread from n = 4 to 1024:
+    1.8e-12 relative, the rounding of a difference of two O(1) costs."""
+    res = convergence_experiment(benchmark_convergence_model(), (4, 128, 1024),
+                                 rollouts=2, seed=0)
+    scaled = np.array([row.n * row.exact_gap for row in res.rows])
+    assert np.all(np.isfinite(scaled))
+    np.testing.assert_allclose(scaled, scaled[0], rtol=1e-11)
+
+
 def test_convergence_reuses_the_paired_optimal_pass():
     model = benchmark_convergence_model()
     res = convergence_experiment(model, (4, 8), rollouts=300, seed=5)
