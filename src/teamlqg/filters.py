@@ -184,10 +184,11 @@ def team_error_covariance(
     glob: FilterSchedule,
     alpha: np.ndarray,
     n: int,
-    t: int,
+    t: int | slice,
     phase: str = "updated",
 ) -> np.ndarray:
-    """Joint covariance of the team's per-agent estimation errors at stage t.
+    """Joint covariance of the team's per-agent estimation errors at stage t,
+    or the (stages, size, size) stack of them when ``t`` is a slice.
 
     Block (i, j) combines the deviation-error covariance, which carries the
     index-invariant factor (delta_ij - alpha_i alpha_j / n), with the shared
@@ -202,10 +203,11 @@ def team_error_covariance(
     sig_agg = glob.Sigma_post[t] if phase == "updated" else glob.Sigma_pred[t]
     shared = np.outer(alpha, alpha)
     weights = np.eye(alpha.shape[0]) - shared / n
-    blocks = (np.einsum("ij,kl->ikjl", weights, sig)        # np.kron, without
-              + np.einsum("ij,kl->ikjl", shared, sig_agg))  # its call overhead
-    size = blocks.shape[0] * blocks.shape[1]
-    return blocks.reshape(size, size)
+    # np.kron of the weights with each stage, without its call overhead
+    blocks = (np.einsum("ij,...kl->...ikjl", weights, sig)
+              + np.einsum("ij,...kl->...ikjl", shared, sig_agg))
+    size = alpha.shape[0] * sig.shape[-1]
+    return blocks.reshape(blocks.shape[:-4] + (size, size))
 
 
 # ---------------------------------------------------------------------------

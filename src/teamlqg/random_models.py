@@ -4,6 +4,11 @@ The generator keeps every draw inside the assumptions the solvers rely on:
 cost weights satisfy the definiteness requirements, observation noise maps
 stay full rank so innovation covariances cannot collapse, and transition
 norms are capped so a ten-step horizon does not blow up numerically.
+
+Draws are batched over stages without changing a single value: the generator
+is called in the same order as drawing stage by stage would call it (runs of
+one distribution become one draw of the stacked size, which reads the stream
+identically), and the linear algebra then runs once on each stage stack.
 """
 
 from __future__ import annotations
@@ -13,28 +18,55 @@ import numpy as np
 from .model import TeamModel, make_model, normalize_influence
 
 
-def _spread(rng, rows: int, cols: int, scale: float) -> np.ndarray:
-    return scale * rng.normal(size=(rows, cols)) / np.sqrt(max(rows, cols))
+def _spread(rng, steps: int, rows: int, cols: int, scale: float) -> np.ndarray:
+    return scale * rng.normal(size=(steps, rows, cols)) / np.sqrt(max(rows, cols))
 
 
-def _with_norm(rng, m: np.ndarray, target: float) -> np.ndarray:
-    norm = np.linalg.norm(m, 2)
-    if norm == 0.0:
-        return m
-    return m * (target / norm)
+def _psd(g: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """``g g^T / (d + 2)``, symmetrized, plus ``floor * I``, for each
+    (d, d + 2) draw in ``g``."""
+    d = g.shape[-2]
+    m = g @ g.swapaxes(-1, -2) / (d + 2)
+    return 0.5 * (m + m.swapaxes(-1, -2)) + floor * np.eye(d)
 
 
-def _psd(rng, d: int, floor: float = 0.0) -> np.ndarray:
-    g = rng.normal(size=(d, d + 2))
-    m = g @ g.T / (d + 2)
-    return 0.5 * (m + m.T) + floor * np.eye(d)
+def _with_norms(m: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Each matrix of the stack rescaled to the spectral norm in ``targets``;
+    a zero matrix stays zero."""
+    norms = np.linalg.svd(m, compute_uv=False)[:, 0]
+    scale = np.divide(targets, norms, out=np.ones_like(norms), where=norms != 0.0)
+    return m * scale[:, None, None]
 
 
-def _stack(draw, T: int, time_varying: bool) -> np.ndarray:
-    if time_varying:
-        return np.stack([draw() for _ in range(T)])
-    m = draw()
-    return np.broadcast_to(m, (T,) + m.shape).copy()
+def _scaled_transitions(rng, steps: int, d: int, low: float,
+                        high: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per stage, a (d, d) normal draw and then its target norm."""
+    g = np.empty((steps, d, d))
+    target = np.empty(steps)
+    for t in range(steps):
+        g[t] = rng.normal(size=(d, d))
+        target[t] = rng.uniform(low, high)
+    return g, target
+
+
+def _cost_weights(rng, steps: int, d_x: int,
+                  d_u: int) -> tuple[np.ndarray, ...]:
+    """Q, Q_bar, R, R_bar: per stage the state pair, then the action pair,
+    each a weight and its coupling weight less up to half the weight."""
+    gq = np.empty((steps, 2, d_x, d_x + 2))
+    gr = np.empty((steps, 2, d_u, d_u + 2))
+    shift = np.empty((2, steps))
+    for t in range(steps):
+        gq[t] = rng.normal(size=(2, d_x, d_x + 2))
+        shift[0, t] = rng.uniform(0.0, 0.5)
+        gr[t] = rng.normal(size=(2, d_u, d_u + 2))
+        shift[1, t] = rng.uniform(0.0, 0.5)
+    weights = []
+    for g, floor, c in ((gq, 0.0, shift[0]), (gr, 0.3, shift[1])):
+        w = _psd(g[:, 0], floor)
+        w_bar = _psd(g[:, 1]) - c[:, None, None] * w
+        weights += [w, 0.5 * (w_bar + w_bar.swapaxes(-1, -2))]
+    return tuple(weights)
 
 
 def random_team(
@@ -51,7 +83,9 @@ def random_team(
     """Draw a valid random team model.
 
     ``coupling`` scales every coupling matrix; 0 gives a fully decoupled
-    team.  ``homogeneous`` forces the all-ones influence vector.
+    team.  ``homogeneous`` forces the all-ones influence vector.  Without
+    ``time_varying`` one draw serves every stage, except for the process
+    and observation noise covariances, which are drawn per stage either way.
     """
     if n is None:
         n = int(rng.choice([2, 3, 5]))
@@ -62,43 +96,18 @@ def random_team(
     d_y = int(rng.integers(1, d_max + 1))
     d_w = int(rng.integers(1, d_x + 1))
     d_v = d_y  # square full-rank noise map keeps innovations well posed
+    steps = T if time_varying else 1
 
-    def draw_A():
-        return _with_norm(rng, rng.normal(size=(d_x, d_x)), float(rng.uniform(0.5, 1.05)))
+    def over_horizon(stack: np.ndarray) -> np.ndarray:
+        if time_varying:
+            return stack
+        return np.broadcast_to(stack, (T,) + stack.shape[1:])
 
-    def draw_A_bar():
-        return _with_norm(rng, rng.normal(size=(d_x, d_x)), coupling * float(rng.uniform(0.1, 0.4)))
-
-    def draw_S():
-        q, _ = np.linalg.qr(rng.normal(size=(d_y, d_y)))
-        return q @ np.diag(rng.uniform(0.6, 1.5, d_y))
-
-    def draw_S_bar():
-        return 0.1 * coupling * rng.uniform(-1.0, 1.0, (d_y, d_v))
-
-    def draw_Q_pair():
-        q = _psd(rng, d_x)
-        q_bar = _psd(rng, d_x) - float(rng.uniform(0.0, 0.5)) * q
-        return q, 0.5 * (q_bar + q_bar.T)
-
-    def draw_R_pair():
-        r = _psd(rng, d_u, floor=0.3)
-        r_bar = _psd(rng, d_u) - float(rng.uniform(0.0, 0.5)) * r
-        return r, 0.5 * (r_bar + r_bar.T)
-
-    Q = np.zeros((T, d_x, d_x))
-    Q_bar = np.zeros((T, d_x, d_x))
-    R = np.zeros((T, d_u, d_u))
-    R_bar = np.zeros((T, d_u, d_u))
-    steps = range(T) if time_varying else [0]
-    for t in steps:
-        Q[t], Q_bar[t] = draw_Q_pair()
-        R[t], R_bar[t] = draw_R_pair()
-    if not time_varying:
-        Q[:], Q_bar[:], R[:], R_bar[:] = Q[0], Q_bar[0], R[0], R_bar[0]
+    Q, Q_bar, R, R_bar = _cost_weights(rng, steps, d_x, d_u)
     if coupling == 0.0:
-        Q_bar[:] = 0.0
-        R_bar[:] = 0.0
+        Q_bar = R_bar = 0.0
+    else:
+        Q_bar, R_bar = over_horizon(Q_bar), over_horizon(R_bar)
 
     if homogeneous:
         alpha = np.ones(n)
@@ -109,22 +118,44 @@ def random_team(
     mu_x = np.zeros(d_x) if zero_mean else 0.5 * rng.normal(size=d_x)
 
     cs = coupling
+    g, target = _scaled_transitions(rng, steps, d_x, 0.5, 1.05)
+    A = _with_norms(g, target)
+    if cs:
+        g, target = _scaled_transitions(rng, steps, d_x, 0.1, 0.4)
+        A_bar = _with_norms(g, coupling * target)
+    B = _spread(rng, steps, d_x, d_u, 0.9)
+    B_bar = _spread(rng, steps, d_x, d_u, 0.3 * cs) if cs else 0.0
+    E = _spread(rng, steps, d_x, d_w, 0.8)
+    E_bar = _spread(rng, steps, d_x, d_w, 0.3 * cs) if cs else 0.0
+    C = _spread(rng, steps, d_y, d_x, 1.0)
+    C_bar = _spread(rng, steps, d_y, d_x, 0.4 * cs) if cs else 0.0
+    g = np.empty((steps, d_y, d_y))
+    diag = np.empty((steps, d_y))
+    for t in range(steps):
+        g[t] = rng.normal(size=(d_y, d_y))
+        diag[t] = rng.uniform(0.6, 1.5, d_y)
+    S = np.linalg.qr(g)[0] * diag[:, None, :]
+    S_bar = 0.1 * coupling * rng.uniform(-1.0, 1.0, (steps, d_y, d_v)) if cs else 0.0
+    Sigma_x = _psd(rng.normal(size=(d_x, d_x + 2)), floor=0.1)
+    Sigma_w = _psd(rng.normal(size=(T, d_w, d_w + 2)), floor=0.1)
+    Sigma_v = _psd(rng.normal(size=(T, d_v, d_v + 2)), floor=0.2)
+
     return make_model(
         T=T,
         alpha=alpha,
-        A=_stack(draw_A, T, time_varying),
-        A_bar=_stack(draw_A_bar, T, time_varying) if cs else 0.0,
-        B=_stack(lambda: _spread(rng, d_x, d_u, 0.9), T, time_varying),
-        B_bar=_stack(lambda: _spread(rng, d_x, d_u, 0.3 * cs), T, time_varying) if cs else 0.0,
-        E=_stack(lambda: _spread(rng, d_x, d_w, 0.8), T, time_varying),
-        E_bar=_stack(lambda: _spread(rng, d_x, d_w, 0.3 * cs), T, time_varying) if cs else 0.0,
-        C=_stack(lambda: _spread(rng, d_y, d_x, 1.0), T, time_varying),
-        C_bar=_stack(lambda: _spread(rng, d_y, d_x, 0.4 * cs), T, time_varying) if cs else 0.0,
-        S=_stack(draw_S, T, time_varying),
-        S_bar=_stack(draw_S_bar, T, time_varying) if cs else 0.0,
-        Q=Q, Q_bar=Q_bar, R=R, R_bar=R_bar,
+        A=over_horizon(A),
+        A_bar=over_horizon(A_bar) if cs else 0.0,
+        B=over_horizon(B),
+        B_bar=over_horizon(B_bar) if cs else 0.0,
+        E=over_horizon(E),
+        E_bar=over_horizon(E_bar) if cs else 0.0,
+        C=over_horizon(C),
+        C_bar=over_horizon(C_bar) if cs else 0.0,
+        S=over_horizon(S),
+        S_bar=over_horizon(S_bar) if cs else 0.0,
+        Q=over_horizon(Q), Q_bar=Q_bar, R=over_horizon(R), R_bar=R_bar,
         mu_x=mu_x,
-        Sigma_x=_psd(rng, d_x, floor=0.1),
-        Sigma_w=np.stack([_psd(rng, d_w, floor=0.1) for _ in range(T)]),
-        Sigma_v=np.stack([_psd(rng, d_v, floor=0.2) for _ in range(T)]),
+        Sigma_x=Sigma_x,
+        Sigma_w=Sigma_w,
+        Sigma_v=Sigma_v,
     )

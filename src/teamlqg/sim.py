@@ -104,6 +104,15 @@ def _cov_factor(sigma: np.ndarray) -> np.ndarray:
         return vec @ np.diag(np.sqrt(np.clip(lam, 0.0, None)))
 
 
+def _cov_factors(stack: np.ndarray) -> np.ndarray:
+    """``_cov_factor`` of each matrix in a stack: one batched Cholesky, or
+    stage by stage when some stage is zero or not positive definite."""
+    try:
+        return np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        return np.array([_cov_factor(sigma) for sigma in stack])
+
+
 def _noise_bank(model: TeamModel, seed: int, start: int, stop: int) -> dict:
     """Draw the noise for rollouts [start, stop) in the canonical order.
 
@@ -111,7 +120,8 @@ def _noise_bank(model: TeamModel, seed: int, start: int, stop: int) -> dict:
     by stage, then v stage by stage, each block (n, d) in C order.  The bank
     holds it agent-last: ``x1`` (B, d_x, n), ``w`` (T - 1, B, d_w, n) and
     ``v`` (T, B, d_v, n), with each covariance factor applied once per stage
-    over the whole batch.
+    over the whole batch.  All stages' factors come from one batched
+    Cholesky when every stage is positive definite.
     """
     d = model.dims
     n, T = d.n, d.T
@@ -129,10 +139,8 @@ def _noise_bank(model: TeamModel, seed: int, start: int, stop: int) -> dict:
         v[:, b] = draw[k_x + k_w:].reshape(T, n, d.d_v).transpose(0, 2, 1)
     np.matmul(_cov_factor(model.Sigma_x), x1, out=x1)
     x1 += model.mu_x[:, None]
-    for t in range(T - 1):
-        np.matmul(_cov_factor(model.Sigma_w[t]), w[t], out=w[t])
-    for t in range(T):
-        np.matmul(_cov_factor(model.Sigma_v[t]), v[t], out=v[t])
+    np.matmul(_cov_factors(model.Sigma_w[:T - 1])[:, None], w, out=w)
+    np.matmul(_cov_factors(model.Sigma_v)[:, None], v, out=v)
     return {"x1": x1, "w": w, "v": v}
 
 
@@ -351,14 +359,22 @@ def _run_strategies(model: TeamModel, kinds: tuple[StrategyKind, ...],
     """
     if n_rollouts <= 0:
         raise ValueError("n_rollouts must be positive")
+    preps = [_prepare(model, kind) for kind in kinds]
+    return _run_prepared(model, preps, seed, n_rollouts, chunk, workers,
+                         keep_traces)
+
+
+def _run_prepared(model: TeamModel, preps: list[Prepared], seed: int,
+                  n_rollouts: int, chunk: Optional[int], workers: int,
+                  keep_traces: int = 0) -> list[RolloutBatch]:
+    """``_run_strategies`` on strategies already prepared for ``model``."""
     if chunk is None:
         chunk = min(_default_chunk(model.dims),
                     math.ceil(n_rollouts / max(workers, 1)))
-    preps = [_prepare(model, kind) for kind in kinds]
     jobs = [(model, preps, seed, lo, hi, max(0, min(keep_traces - lo, hi - lo)))
             for lo, hi in _chunked(n_rollouts, chunk)]
     parts = _pool_map(_chunk_job, jobs, workers if len(jobs) > 1 else 1)
-    return [_merge([part[i] for part in parts]) for i in range(len(kinds))]
+    return [_merge([part[i] for part in parts]) for i in range(len(preps))]
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:

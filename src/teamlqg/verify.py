@@ -21,11 +21,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .filters import precompute_global, precompute_local, team_error_covariance
+from .filters import team_error_covariance
 from .model import TeamModel, make_model
 from .oracle import _Team, centralized_estimates, exact_cost
 from .random_models import random_team
-from .sim import _mean_se, _pool_map, _run_strategies, run_rollouts
+from .sim import _mean_se, _pool_map, _prepare, _run_prepared, _run_strategies
 from .strategy import CustomLinear, Optimal, StrategyKind, ZeroAction
 
 ESTIMATE_TOL = 1e-9
@@ -96,25 +96,26 @@ def check_one_model(model: TeamModel, kind: StrategyKind,
     The simulator's recorded estimates are held against the centralized
     filter run on the same observations and actions, and the two-block error
     covariance against the filter's, both phases, in the reduced team's
-    coordinates.
+    coordinates.  ``kind`` must filter the aggregate (``Optimal`` or
+    ``CustomLinear``): the schedules it is prepared with, solved once, serve
+    both the rollouts and the covariance check.
     """
-    batch = run_rollouts(model, kind, seed=seed, n_rollouts=4, keep_traces=1)
+    prep = _prepare(model, kind)
+    batch = _run_prepared(model, [prep], seed, 4, None, 1, keep_traces=1)[0]
     trace = batch.traces[0]
     estimates, run = centralized_estimates(model, trace.y, trace.u)
     scale = max(1.0, float(np.abs(estimates).max()))
     est_dev = float(np.abs(trace.combined_xhat - estimates).max()) / scale
 
-    local = precompute_local(model)
-    glob = precompute_global(model)
     alpha = _Team.reduced(model).alpha
     cov_dev = 0.0
-    for t in range(model.T):
-        for phase, sig in (("predicted", run.Sigma_pred[t]),
-                           ("updated", run.Sigma_post[t])):
-            assembled = team_error_covariance(local, glob, alpha, model.n, t,
-                                              phase)
-            denom = max(1.0, float(np.abs(sig).max()))
-            cov_dev = max(cov_dev, float(np.abs(assembled - sig).max()) / denom)
+    for phase, sig in (("predicted", run.Sigma_pred),
+                       ("updated", run.Sigma_post)):
+        assembled = team_error_covariance(prep.local, prep.glob, alpha,
+                                          model.n, slice(None), phase)
+        denom = np.maximum(1.0, np.abs(sig).max(axis=(1, 2)))
+        worst = np.abs(assembled - sig).max(axis=(1, 2)) / denom
+        cov_dev = max(cov_dev, float(worst.max()))
     return est_dev, cov_dev, batch.residual_max
 
 

@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from teamlqg.model import TeamModel, make_model, normalize_influence
+
 
 def simulate_truth(model, rng, action_fn=None):
     """Roll the team forward once, returning states, observations, actions.
@@ -224,3 +226,127 @@ def joint_exact_cost(model, kind):
         M = 0.5 * (M + M.T)
         m = m_next
     return total
+
+
+# ---------------------------------------------------------------------------
+# Random team models, drawn stage by stage
+#
+# The package's generator before it was batched over stages, kept unchanged
+# as the draw-for-draw reference for ``teamlqg.random_models.random_team``.
+
+
+def _spread(rng, rows: int, cols: int, scale: float) -> np.ndarray:
+    return scale * rng.normal(size=(rows, cols)) / np.sqrt(max(rows, cols))
+
+
+def _with_norm(rng, m: np.ndarray, target: float) -> np.ndarray:
+    norm = np.linalg.norm(m, 2)
+    if norm == 0.0:
+        return m
+    return m * (target / norm)
+
+
+def _psd(rng, d: int, floor: float = 0.0) -> np.ndarray:
+    g = rng.normal(size=(d, d + 2))
+    m = g @ g.T / (d + 2)
+    return 0.5 * (m + m.T) + floor * np.eye(d)
+
+
+def _stack(draw, T: int, time_varying: bool) -> np.ndarray:
+    if time_varying:
+        return np.stack([draw() for _ in range(T)])
+    m = draw()
+    return np.broadcast_to(m, (T,) + m.shape).copy()
+
+
+def random_team(
+    rng: np.random.Generator,
+    *,
+    n: int | None = None,
+    T: int | None = None,
+    d_max: int = 3,
+    coupling: float = 0.5,
+    time_varying: bool = True,
+    homogeneous: bool = False,
+    zero_mean: bool = False,
+) -> TeamModel:
+    """Draw a valid random team model.
+
+    ``coupling`` scales every coupling matrix; 0 gives a fully decoupled
+    team.  ``homogeneous`` forces the all-ones influence vector.
+    """
+    if n is None:
+        n = int(rng.choice([2, 3, 5]))
+    if T is None:
+        T = int(rng.integers(2, 11))
+    d_x = int(rng.integers(1, d_max + 1))
+    d_u = int(rng.integers(1, d_max + 1))
+    d_y = int(rng.integers(1, d_max + 1))
+    d_w = int(rng.integers(1, d_x + 1))
+    d_v = d_y  # square full-rank noise map keeps innovations well posed
+
+    def draw_A():
+        return _with_norm(rng, rng.normal(size=(d_x, d_x)), float(rng.uniform(0.5, 1.05)))
+
+    def draw_A_bar():
+        return _with_norm(rng, rng.normal(size=(d_x, d_x)), coupling * float(rng.uniform(0.1, 0.4)))
+
+    def draw_S():
+        q, _ = np.linalg.qr(rng.normal(size=(d_y, d_y)))
+        return q @ np.diag(rng.uniform(0.6, 1.5, d_y))
+
+    def draw_S_bar():
+        return 0.1 * coupling * rng.uniform(-1.0, 1.0, (d_y, d_v))
+
+    def draw_Q_pair():
+        q = _psd(rng, d_x)
+        q_bar = _psd(rng, d_x) - float(rng.uniform(0.0, 0.5)) * q
+        return q, 0.5 * (q_bar + q_bar.T)
+
+    def draw_R_pair():
+        r = _psd(rng, d_u, floor=0.3)
+        r_bar = _psd(rng, d_u) - float(rng.uniform(0.0, 0.5)) * r
+        return r, 0.5 * (r_bar + r_bar.T)
+
+    Q = np.zeros((T, d_x, d_x))
+    Q_bar = np.zeros((T, d_x, d_x))
+    R = np.zeros((T, d_u, d_u))
+    R_bar = np.zeros((T, d_u, d_u))
+    steps = range(T) if time_varying else [0]
+    for t in steps:
+        Q[t], Q_bar[t] = draw_Q_pair()
+        R[t], R_bar[t] = draw_R_pair()
+    if not time_varying:
+        Q[:], Q_bar[:], R[:], R_bar[:] = Q[0], Q_bar[0], R[0], R_bar[0]
+    if coupling == 0.0:
+        Q_bar[:] = 0.0
+        R_bar[:] = 0.0
+
+    if homogeneous:
+        alpha = np.ones(n)
+    else:
+        alpha = normalize_influence(
+            rng.uniform(0.3, 1.7, n) * rng.choice([-1.0, 1.0], n)
+        )
+    mu_x = np.zeros(d_x) if zero_mean else 0.5 * rng.normal(size=d_x)
+
+    cs = coupling
+    return make_model(
+        T=T,
+        alpha=alpha,
+        A=_stack(draw_A, T, time_varying),
+        A_bar=_stack(draw_A_bar, T, time_varying) if cs else 0.0,
+        B=_stack(lambda: _spread(rng, d_x, d_u, 0.9), T, time_varying),
+        B_bar=_stack(lambda: _spread(rng, d_x, d_u, 0.3 * cs), T, time_varying) if cs else 0.0,
+        E=_stack(lambda: _spread(rng, d_x, d_w, 0.8), T, time_varying),
+        E_bar=_stack(lambda: _spread(rng, d_x, d_w, 0.3 * cs), T, time_varying) if cs else 0.0,
+        C=_stack(lambda: _spread(rng, d_y, d_x, 1.0), T, time_varying),
+        C_bar=_stack(lambda: _spread(rng, d_y, d_x, 0.4 * cs), T, time_varying) if cs else 0.0,
+        S=_stack(draw_S, T, time_varying),
+        S_bar=_stack(draw_S_bar, T, time_varying) if cs else 0.0,
+        Q=Q, Q_bar=Q_bar, R=R, R_bar=R_bar,
+        mu_x=mu_x,
+        Sigma_x=_psd(rng, d_x, floor=0.1),
+        Sigma_w=np.stack([_psd(rng, d_w, floor=0.1) for _ in range(T)]),
+        Sigma_v=np.stack([_psd(rng, d_v, floor=0.2) for _ in range(T)]),
+    )

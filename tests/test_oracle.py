@@ -24,7 +24,7 @@ from teamlqg.oracle import (
 )
 from teamlqg.random_models import random_team
 from teamlqg.riccati import solve_riccati
-from teamlqg.sim import benchmark_convergence_model
+from teamlqg.sim import benchmark_convergence_model, run_rollouts
 from teamlqg.strategy import (
     CustomLinear,
     MeanField,
@@ -38,6 +38,8 @@ from teamlqg.verify import (
     RESIDUAL_TOL,
     _random_rule,
     check_one_model,
+    reference_models,
+    run_verification_suite,
 )
 
 from conftest import scalar_pair_model
@@ -200,6 +202,82 @@ def test_check_one_model_at_large_n(n):
     assert est <= ESTIMATE_TOL
     assert cov <= COVARIANCE_TOL
     assert resid <= RESIDUAL_TOL
+
+
+def test_check_one_model_solves_each_schedule_once(monkeypatch):
+    """The schedules the rule is prepared with also serve the covariance
+    check: two forward passes per model, the deviation and the aggregate."""
+    from teamlqg import filters
+
+    calls = []
+    forward = filters._forward_chain
+
+    def counted(*args, **kwargs):
+        calls.append(args[-1])
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(filters, "_forward_chain", counted)
+    rng = np.random.default_rng(8)
+    for seed in range(4):
+        model = random_team(rng)
+        for kind in (_random_rule(model, rng), Optimal()):
+            calls.clear()
+            check_one_model(model, kind, seed=seed)
+            assert sorted(calls) == ["aggregate", "deviation"]
+
+
+def test_verification_maxima_match_fresh_schedules():
+    """The suite's maxima equal a loop that runs each model's rollouts, then
+    solves both schedules afresh and compares covariances stage by stage."""
+    seed, mc_rollouts = 5, 50
+    report = run_verification_suite(n_models=20, seed=seed,
+                                    mc_rollouts=mc_rollouts)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
+    est_dev = cov_dev = resid = 0.0
+    for index in range(20):
+        model = random_team(rng)
+        kind = _random_rule(model, rng)
+        batch = run_rollouts(model, kind, seed=seed + index, n_rollouts=4,
+                             keep_traces=1)
+        trace = batch.traces[0]
+        estimates, run = centralized_estimates(model, trace.y, trace.u)
+        scale = max(1.0, float(np.abs(estimates).max()))
+        est_dev = max(est_dev, float(np.abs(trace.combined_xhat
+                                            - estimates).max()) / scale)
+        local, glob = precompute_local(model), precompute_global(model)
+        alpha = _Team.reduced(model).alpha
+        for t in range(model.T):
+            for phase, sig in (("predicted", run.Sigma_pred[t]),
+                               ("updated", run.Sigma_post[t])):
+                assembled = team_error_covariance(local, glob, alpha, model.n,
+                                                  t, phase)
+                denom = max(1.0, float(np.abs(sig).max()))
+                cov_dev = max(cov_dev,
+                              float(np.abs(assembled - sig).max()) / denom)
+        resid = max(resid, batch.residual_max)
+    for model in reference_models():
+        for kind in (ZeroAction(), Optimal()):
+            resid = max(resid, run_rollouts(model, kind, seed=seed,
+                                            n_rollouts=mc_rollouts).residual_max)
+    assert report.max_estimate_deviation == est_dev
+    assert report.max_covariance_deviation == cov_dev
+    assert report.max_cost_split_residual == resid
+
+
+def test_team_error_covariance_of_a_stage_slice_stacks_each_stage():
+    rng = np.random.default_rng(17)
+    model = random_team(rng, T=6)
+    local, glob = precompute_local(model), precompute_global(model)
+    for phase in ("predicted", "updated"):
+        stack = team_error_covariance(local, glob, model.alpha, model.n,
+                                      slice(1, 5), phase)
+        assert stack.shape == (4, model.n * model.dims.d_x,
+                               model.n * model.dims.d_x)
+        for t in range(1, 5):
+            np.testing.assert_array_equal(
+                stack[t - 1],
+                team_error_covariance(local, glob, model.alpha, model.n, t,
+                                      phase))
 
 
 def test_exact_cost_zero_strategy_single_stage():

@@ -103,6 +103,30 @@ def test_noise_bank_matches_per_block_draws():
         np.testing.assert_array_equal(new["v"].transpose(0, 1, 3, 2), ref["v"])
 
 
+def test_batched_bank_factors_equal_per_stage_factors():
+    """One batched Cholesky gives each stage's own factor bitwise; a stack
+    with a zero or a rank-deficient stage falls back to the per-stage rule."""
+    rng = np.random.default_rng(23)
+    stacks = []
+    for _ in range(20):
+        model = random_team(rng)
+        stacks += [model.Sigma_w, model.Sigma_v, model.Sigma_w[:0]]
+    zero = scalar_pair_model(T=3, Sigma_w=0.0)
+    assert not zero.Sigma_w.any()
+    g = rng.normal(size=(2, 3, 5))
+    full = g @ g.swapaxes(1, 2)
+    rank_one = np.outer(g[0, :, 0], g[0, :, 0])
+    mixed = np.stack([full[0], rank_one, np.zeros((3, 3)), full[1]])
+    stacks += [zero.Sigma_w, mixed]
+    for stack in stacks:
+        per_stage = np.array([sim._cov_factor(s) for s in stack])
+        np.testing.assert_array_equal(sim._cov_factors(stack),
+                                      per_stage.reshape(stack.shape))
+    factors = sim._cov_factors(mixed)
+    np.testing.assert_allclose(factors @ factors.swapaxes(1, 2), mixed,
+                               atol=1e-12)
+
+
 def test_default_chunk_keeps_bank_within_budget():
     """Chunk sizes are arithmetic on the dimensions; nothing is drawn."""
     def dims(n, T, d):
