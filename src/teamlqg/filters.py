@@ -97,6 +97,12 @@ def precompute_global(model: TeamModel) -> FilterSchedule:
                           model.dims.n, "aggregate")
 
 
+def _matvec(M: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``rows @ M.T`` for rows (..., d), as one matrix-vector product per
+    row, so a row rounds the same way in a batch of any size."""
+    return (M @ rows[..., None])[..., 0]
+
+
 def prior_estimates(model: TeamModel, batch: int) -> tuple[np.ndarray, np.ndarray]:
     """Deviation (batch, d_x, n) and aggregate (batch, d_x) estimates before
     the first observation."""
@@ -138,14 +144,14 @@ def update_estimates(
     n = alpha.shape[0]
     C_all = model.C[t] + model.C_bar[t]
     raw = y - model.C[t] @ delta
-    raw -= (agg @ C_all.T)[..., None] * alpha
+    raw -= _matvec(C_all, agg)[..., None] * alpha
     if glob is None:
         return delta + local.gain[t] @ raw, agg, None
     agg_innov = raw @ alpha / n
     raw -= agg_innov[..., None] * alpha
     delta = delta + local.gain[t] @ raw
     delta -= (delta @ alpha / n)[..., None] * alpha
-    correction = agg_innov @ glob.gain[t].T
+    correction = _matvec(glob.gain[t], agg_innov)
     return delta, agg + correction, correction
 
 
@@ -164,8 +170,8 @@ def predict_estimates(
     """
     dev_u = u - u_bar[..., None] * model.alpha
     delta = model.A[t] @ delta + model.B[t] @ dev_u
-    agg = (agg @ (model.A[t] + model.A_bar[t]).T
-           + u_bar @ (model.B[t] + model.B_bar[t]).T)
+    agg = (_matvec(model.A[t] + model.A_bar[t], agg)
+           + _matvec(model.B[t] + model.B_bar[t], u_bar))
     return delta, agg
 
 

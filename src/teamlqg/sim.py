@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import NonFiniteCostError
 from .filters import (
+    _matvec,
     precompute_global,
     predict_estimates,
     prior_estimates,
@@ -162,7 +163,8 @@ def _quad_each(vals: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _quad(vec: np.ndarray, M: np.ndarray) -> np.ndarray:
-    return np.einsum("bd,de,be->b", vec, M, vec)
+    """v^T M v for each row of a batch (B, d) -> (B,)."""
+    return np.einsum("bd,bd->b", _matvec(M, vec), vec)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -200,7 +202,8 @@ def _run_batch(model: TeamModel, prep: Prepared, bank: dict,
         v_bar = v @ alpha / n
         y = model.C[t] @ x
         y += model.S[t] @ v
-        y += (x_bar @ model.C_bar[t].T + v_bar @ model.S_bar[t].T)[..., None] * alpha
+        y += (_matvec(model.C_bar[t], x_bar)
+              + _matvec(model.S_bar[t], v_bar))[..., None] * alpha
 
         if coeffs is not None:
             if plan is not None:
@@ -243,8 +246,9 @@ def _run_batch(model: TeamModel, prep: Prepared, bank: dict,
         if not last:
             w = bank["w"][t]
             w_bar = w @ alpha / n
-            shared_drift = (x_bar @ model.A_bar[t].T + u_bar @ model.B_bar[t].T
-                            + w_bar @ model.E_bar[t].T)
+            shared_drift = (_matvec(model.A_bar[t], x_bar)
+                            + _matvec(model.B_bar[t], u_bar)
+                            + _matvec(model.E_bar[t], w_bar))
             x = model.A[t] @ x
             x += model.B[t] @ u
             x += model.E[t] @ w

@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .filters import FilterSchedule, precompute_global, precompute_local
+from .filters import FilterSchedule, _matvec, precompute_global, precompute_local
 from .model import TeamModel, _read_json, _stack_stage
 from .riccati import RiccatiPass, solve_riccati
 
@@ -102,7 +102,7 @@ class CustomLinear:
         broadcast along the agent axis, scaled by ``alpha``."""
         combined = delta + agg[..., None] * alpha
         y_bar = y @ alpha / alpha.shape[0]
-        shared = agg @ self.phi[t].T + y_bar @ self.omega[t].T
+        shared = _matvec(self.phi[t], agg) + _matvec(self.omega[t], y_bar)
         u = self.theta[t] @ combined
         u += self.psi[t] @ y
         u += shared[..., None] * alpha

@@ -5,6 +5,7 @@ import os
 import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from teamlqg.sim import (
     convergence_experiment,
     evaluate_cost,
     paired_cost_gap,
+    Trace,
     rollout,
     run_rollouts,
 )
@@ -30,7 +32,7 @@ from teamlqg.strategy import (
     optimal_coefficients,
 )
 from teamlqg.random_models import random_team
-from teamlqg.verify import reference_models, run_verification_suite
+from teamlqg.verify import _random_rule, reference_models, run_verification_suite
 
 from conftest import scalar_pair_model
 from reference import (
@@ -54,6 +56,41 @@ def test_chunking_and_prefix_do_not_change_draws(model_s2):
     np.testing.assert_array_equal(whole.costs, split.costs)
     prefix = run_rollouts(model_s2, Optimal(), seed=7, n_rollouts=200, chunk=64)
     np.testing.assert_array_equal(whole.costs[:200], prefix.costs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 64])
+def test_stage_costs_do_not_depend_on_chunk_size(n):
+    """Every rollout's stage costs and aggregate corrections are bitwise the
+    same whether it steps alone, in a small chunk, or in the whole batch."""
+    rng = np.random.default_rng(100 + n)
+    for draw in range(2):
+        model = random_team(rng, n=n)
+        kinds = (ZeroAction(), Optimal(), MeanField(), _random_rule(model, rng))
+        for kind in kinds:
+            whole = run_rollouts(model, kind, seed=draw, n_rollouts=14)
+            for chunk in (1, 2, 3, 5, 7):
+                split = run_rollouts(model, kind, seed=draw, n_rollouts=14,
+                                     chunk=chunk)
+                np.testing.assert_array_equal(whole.stage_costs,
+                                              split.stage_costs)
+                np.testing.assert_array_equal(whole.ms_correction,
+                                              split.ms_correction)
+
+
+def test_rollout_is_its_row_of_the_batch():
+    """``rollout(..., index=k)`` records exactly rollout k of a batch."""
+    rng = np.random.default_rng(41)
+    model = random_team(rng, n=3)
+    for kind in (Optimal(), MeanField(), _random_rule(model, rng)):
+        batch = run_rollouts(model, kind, seed=9, n_rollouts=6, keep_traces=6)
+        for k in range(6):
+            single = rollout(model, kind, seed=9, index=k)
+            np.testing.assert_array_equal(single.stage_cost,
+                                          batch.stage_costs[k])
+            for field in fields(Trace):
+                np.testing.assert_array_equal(getattr(single, field.name),
+                                              getattr(batch.traces[k],
+                                                      field.name))
 
 
 def _coupled_pair_dims_model(n, T):
