@@ -99,9 +99,8 @@ def random_team(
     steps = T if time_varying else 1
 
     def over_horizon(stack: np.ndarray) -> np.ndarray:
-        if time_varying:
-            return stack
-        return np.broadcast_to(stack, (T,) + stack.shape[1:])
+        """The (T, rows, cols) stack, or its one matrix for every stage."""
+        return stack if time_varying else stack[0]
 
     Q, Q_bar, R, R_bar = _cost_weights(rng, steps, d_x, d_u)
     if coupling == 0.0:
