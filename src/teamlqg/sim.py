@@ -140,8 +140,11 @@ def _noise_bank(model: TeamModel, seed: int, start: int, stop: int) -> dict:
         v[:, b] = draw[k_x + k_w:].reshape(T, n, d.d_v).transpose(0, 2, 1)
     np.matmul(_cov_factor(model.Sigma_x), x1, out=x1)
     x1 += model.mu_x[:, None]
-    np.matmul(_cov_factors(model.Sigma_w[:T - 1])[:, None], w, out=w)
-    np.matmul(_cov_factors(model.Sigma_v)[:, None], v, out=v)
+    # stage by stage, so the in-place product buffers one stage, not the bank
+    for noise, factors in ((w, _cov_factors(model.Sigma_w[:T - 1])),
+                           (v, _cov_factors(model.Sigma_v))):
+        for t, factor in enumerate(factors):
+            np.matmul(factor, noise[t], out=noise[t])
     return {"x1": x1, "w": w, "v": v}
 
 
