@@ -18,7 +18,8 @@ rollouts along a leading axis; the simulator and a single hand-driven
 trajectory use the same update and predict functions.  Stepping arrays are
 agent-last, ``(B, d, n)``: a stage matrix applies as ``M @ x``, an influence
 average is ``x @ alpha / n``, and ``alpha_i * z`` broadcasts along the
-contiguous agent axis.
+contiguous agent axis.  Aggregate rows ``(B, d)`` take a stage matrix through
+``_matvec``, one product per row, so a rollout rounds alike in any batch.
 """
 
 from __future__ import annotations
