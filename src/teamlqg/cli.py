@@ -282,7 +282,9 @@ def cmd_convergence(args) -> int:
         "slope_sigma": result.slope_sigma,
         "slope_correction": result.slope_correction,
         "slope_gap": result.slope_gap,
-        "rows": [row.__dict__ for row in result.rows],
+        "slope_exact_gap": result.slope_exact_gap,
+        "rows": [dict(row.__dict__, n_exact_gap=row.n * row.exact_gap)
+                 for row in result.rows],
     }
     _write_json(os.path.join(out, "convergence_summary.json"), summary)
     _write_manifest(out, "convergence",

@@ -12,7 +12,8 @@ the two built-in scalar reference models.
 With more than one worker, each model is checked in the simulator's process
 pool as soon as it is drawn; models are drawn in the same order either way,
 and the reported maxima are exact, so they do not depend on the worker
-count.
+count.  A NaN deviation anywhere makes its maximum NaN and the report not
+ok.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def check_one_model(model: TeamModel, kind: StrategyKind,
                                           model.n, slice(None), phase)
         denom = np.maximum(1.0, np.abs(sig).max(axis=(1, 2)))
         worst = np.abs(assembled - sig).max(axis=(1, 2)) / denom
-        cov_dev = max(cov_dev, float(worst.max()))
+        cov_dev = float(np.maximum(cov_dev, worst.max()))
     return est_dev, cov_dev, batch.residual_max
 
 
@@ -136,9 +137,11 @@ def run_verification_suite(n_models: int = 100, seed: int = 0,
                            workers: int = 1) -> VerificationReport:
     """Draw random models, check them against the oracle, sample costs."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
-    est_dev = cov_dev = resid = 0.0
-    for e, c, r in _pool_map(_check_job, _drawn(rng, n_models, seed), workers):
-        est_dev, cov_dev, resid = max(est_dev, e), max(cov_dev, c), max(resid, r)
+    # np.maximum, unlike max(), carries a NaN deviation into the report
+    worst = np.zeros(3)
+    for devs in _pool_map(_check_job, _drawn(rng, n_models, seed), workers):
+        worst = np.maximum(worst, devs)
+    est_dev, cov_dev, resid = map(float, worst)
 
     checks = []
     uncoupled, coupled = reference_models()
@@ -156,7 +159,7 @@ def run_verification_suite(n_models: int = 100, seed: int = 0,
                 stderr=stderr,
                 ok=bool(abs(mean - target) <= MC_SIGMA * stderr),
             ))
-            resid = max(resid, batch.residual_max)
+            resid = float(np.maximum(resid, batch.residual_max))
 
     ok = (est_dev <= ESTIMATE_TOL and cov_dev <= COVARIANCE_TOL
           and resid <= RESIDUAL_TOL and all(c.ok for c in checks))

@@ -322,6 +322,38 @@ def test_convergence_subcommand(tmp_path):
     assert summary["slope_sigma"] == pytest.approx(-1.0, abs=1e-6)
 
 
+def test_convergence_summary_holds_the_exact_scaling(tmp_path):
+    """The summary adds n * exact_gap per row and the exact gap's slope;
+    the CSV keeps its columns.  Under uniform influence the exact gap falls
+    exactly as 1/n: measured |slope_exact_gap + 1| on the built-in model
+    from n = 4 to 1024 is 2.8e-13."""
+    out = tmp_path / "conv"
+    assert main(["convergence", "--n-list", "4,128,1024", "--rollouts", "2",
+                 "--seed", "1", "--workers", "1", "--out", str(out)]) == 0
+    lines = (out / "convergence.csv").read_text().strip().splitlines()
+    assert lines[0] == "n,max_sigma_bar,ms_correction,cost_gap,gap_se,exact_gap"
+    summary = json.loads((out / "convergence_summary.json").read_text())
+    assert abs(summary["slope_exact_gap"] + 1.0) <= 1e-11
+    scaled = [row["n_exact_gap"] for row in summary["rows"]]
+    assert scaled == [row["n"] * row["exact_gap"] for row in summary["rows"]]
+    np.testing.assert_allclose(scaled, scaled[0], rtol=1e-11)
+
+
+def test_verify_reports_a_nan_deviation_as_failure(tmp_path, monkeypatch):
+    from teamlqg import verify
+
+    def nan_estimates(job):
+        return (float("nan"), 0.0, 0.0)
+
+    monkeypatch.setattr(verify, "_check_job", nan_estimates)
+    out = tmp_path / "ver"
+    assert main(["verify", "--models", "2", "--rollouts", "200",
+                 "--workers", "1", "--out", str(out)]) == 1
+    doc = json.loads((out / "verification.json").read_text())
+    assert doc["ok"] is False
+    assert np.isnan(doc["max_estimate_deviation"])
+
+
 def test_convergence_rejects_bad_n_list(tmp_path):
     assert main(["convergence", "--n-list", "4", "--out", str(tmp_path)]) == 64
     assert main(["convergence", "--n-list", "4,x", "--out", str(tmp_path)]) == 64

@@ -1,5 +1,7 @@
 """Monte Carlo engine: reproducibility, cross-checks, cost comparisons."""
 
+import functools
+import math
 import multiprocessing
 import os
 import signal
@@ -32,7 +34,13 @@ from teamlqg.strategy import (
     optimal_coefficients,
 )
 from teamlqg.random_models import random_team
-from teamlqg.verify import _random_rule, reference_models, run_verification_suite
+from teamlqg import verify
+from teamlqg.verify import (
+    _random_rule,
+    check_one_model,
+    reference_models,
+    run_verification_suite,
+)
 
 from conftest import scalar_pair_model
 from reference import (
@@ -164,20 +172,28 @@ def test_batched_bank_factors_equal_per_stage_factors():
                                atol=1e-12)
 
 
+def _dims(n, T, d):
+    return Dimensions(n=n, T=T, d_x=d, d_u=d, d_y=d, d_w=d, d_v=d)
+
+
+def _fits_every_budget(chunk, dims):
+    return (chunk <= sim.MAX_CHUNK
+            and chunk * sim._bank_bytes_per_rollout(dims) <= sim.BANK_BUDGET
+            and chunk * sim._step_bytes_per_rollout(dims) <= sim.STEP_BUDGET)
+
+
 def test_default_chunk_keeps_bank_within_budget():
     """Chunk sizes are arithmetic on the dimensions; nothing is drawn."""
-    def dims(n, T, d):
-        return Dimensions(n=n, T=T, d_x=d, d_u=d, d_y=d, d_w=d, d_v=d)
-
-    small = dims(2, 10, 2)
+    small = _dims(2, 10, 2)
     assert sim._default_chunk(small) == sim.MAX_CHUNK
-    for n in (1024, 65536):
-        big = dims(n, 5, 2)
+    # the stepping arrays bind, then a rollout too wide for them, then the bank
+    for big in (_dims(1024, 5, 2), _dims(65536, 5, 2), _dims(1024, 2000, 1)):
         chunk = sim._default_chunk(big)
         assert 1 <= chunk < sim.MAX_CHUNK
         assert chunk * sim._bank_bytes_per_rollout(big) <= sim.BANK_BUDGET
-        assert (chunk + 1) * sim._bank_bytes_per_rollout(big) > sim.BANK_BUDGET
-    huge = dims(2**24, 5, 2)
+        assert chunk == 1 or _fits_every_budget(chunk, big)
+        assert not _fits_every_budget(chunk + 1, big)
+    huge = _dims(2**24, 5, 2)
     assert sim._bank_bytes_per_rollout(huge) > sim.BANK_BUDGET
     assert sim._default_chunk(huge) == 1
 
@@ -192,7 +208,7 @@ def test_worker_pool_matches_inline(model_s2):
 
 def test_default_chunk_splits_across_workers_at_large_n(monkeypatch):
     model = _coupled_pair_dims_model(n=1024, T=3)
-    assert sim._default_chunk(model.dims) >= 40
+    assert sim._default_chunk(model.dims) >= 24
     chunked, splits = sim._chunked, []
 
     def spy(total, chunk):
@@ -200,11 +216,59 @@ def test_default_chunk_splits_across_workers_at_large_n(monkeypatch):
         return splits[-1]
 
     monkeypatch.setattr(sim, "_chunked", spy)
-    pooled = run_rollouts(model, Optimal(), seed=23, n_rollouts=40, workers=2)
+    pooled = run_rollouts(model, Optimal(), seed=23, n_rollouts=24, workers=2)
     assert len(splits[0]) >= 2
-    inline = run_rollouts(model, Optimal(), seed=23, n_rollouts=40)
+    inline = run_rollouts(model, Optimal(), seed=23, n_rollouts=24)
     np.testing.assert_array_equal(inline.costs, pooled.costs)
     np.testing.assert_array_equal(inline.ms_correction, pooled.ms_correction)
+
+
+def test_default_chunk_steps_in_cache_at_large_n(monkeypatch):
+    """At n = 1024, d = 2 every default chunk's (B, d, n) stepping arrays
+    fit ``STEP_BUDGET``, and its noise bank shrinks with them."""
+    model = _coupled_pair_dims_model(n=1024, T=3)
+    drawn, banks = sim._noise_bank, []
+
+    def spy(*args):
+        banks.append(drawn(*args))
+        return banks[-1]
+
+    monkeypatch.setattr(sim, "_noise_bank", spy)
+    run_rollouts(model, Optimal(), seed=29, n_rollouts=70)
+    assert len(banks) >= 2
+    for bank in banks:
+        for stepped in (bank["x1"], bank["w"][0], bank["v"][0]):
+            assert stepped.nbytes <= sim.STEP_BUDGET
+    assert sum(bank["x1"].shape[0] for bank in banks) == 70
+
+
+def test_default_chunk_is_unchanged_at_small_n():
+    """At the sizes verify draws and at mc-long-horizon's T = 200, neither
+    memory budget binds, so chunks stay at ``MAX_CHUNK``."""
+    for n in (2, 3, 5):
+        for T in (2, 10, 200):
+            for d in (1, 2, 3):
+                assert sim._default_chunk(_dims(n, T, d)) == sim.MAX_CHUNK
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_default_chunks_match_one_whole_batch_at_large_n(workers):
+    """Cache-sized default chunks change no output bit at n = 1024."""
+    model = _coupled_pair_dims_model(n=1024, T=3)
+    rollouts = 70
+    assert sim._default_chunk(model.dims) < rollouts
+    for kind in (Optimal(), MeanField()):
+        whole = run_rollouts(model, kind, seed=31, n_rollouts=rollouts,
+                             chunk=rollouts)
+        split = run_rollouts(model, kind, seed=31, n_rollouts=rollouts,
+                             workers=workers)
+        for field in ("costs", "stage_costs", "ms_correction"):
+            np.testing.assert_array_equal(getattr(whole, field),
+                                          getattr(split, field))
+    assert (paired_cost_gap(model, MeanField(), Optimal(), seed=31,
+                            n_rollouts=rollouts, workers=workers)
+            == paired_cost_gap(model, MeanField(), Optimal(), seed=31,
+                               n_rollouts=rollouts, chunk=rollouts))
 
 
 def test_pooled_calls_reuse_the_same_workers(model_s2):
@@ -232,6 +296,33 @@ def test_pooled_verification_suite_matches_inline():
     pooled = run_verification_suite(n_models=6, seed=3, mc_rollouts=300,
                                     workers=2)
     assert pooled.to_json_dict() == inline.to_json_dict()
+
+
+def _nan_on_seed_4(position, job):
+    """The model check, with deviation ``position`` NaN for check seed 4.
+
+    Module level, so the pool's workers can run it."""
+    model, kind, seed = job
+    devs = list(check_one_model(model, kind, seed=seed))
+    if seed == 4:
+        devs[position] = math.nan
+    return tuple(devs)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_verification_reports_a_nan_deviation(monkeypatch, position, workers):
+    """A NaN estimate, covariance or cost-split deviation of one model is
+    reported as NaN and fails the suite."""
+    monkeypatch.setattr(verify, "_check_job",
+                        functools.partial(_nan_on_seed_4, position))
+    report = run_verification_suite(n_models=3, seed=3, mc_rollouts=200,
+                                    workers=workers)
+    maxima = [report.max_estimate_deviation, report.max_covariance_deviation,
+              report.max_cost_split_residual]
+    assert math.isnan(maxima.pop(position))
+    assert all(math.isfinite(value) for value in maxima)
+    assert not report.ok
 
 
 def test_verification_mc_checks_match_separate_estimates():
