@@ -23,6 +23,7 @@ from .riccati import RiccatiPass, solve_riccati
 from .filters import (
     FilterSchedule,
     combined_agent_estimate,
+    precompute_filters,
     precompute_global,
     precompute_local,
     predict_estimates,

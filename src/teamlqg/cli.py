@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NonFiniteCostError, RiccatiError, SingularInnovationError
-from .filters import precompute_global, precompute_local, schedule_to_json_dict
+from .filters import precompute_filters, schedule_to_json_dict
 from .model import TeamModel, load_model, validate
 from .riccati import solve_riccati
 from .sim import (_mean_se, benchmark_convergence_model, convergence_experiment,
@@ -117,10 +117,12 @@ def cmd_validate(args) -> int:
 
 def _schedules(model: TeamModel) -> dict[str, dict]:
     """The precomputed schedule files: file name -> JSON document."""
+    gains = solve_riccati(model)
+    local, glob = precompute_filters(model)
     return {
-        "riccati.json": schedule_to_json_dict(solve_riccati(model)),
-        "local_filter.json": schedule_to_json_dict(precompute_local(model)),
-        "global_filter.json": schedule_to_json_dict(precompute_global(model)),
+        "riccati.json": schedule_to_json_dict(gains),
+        "local_filter.json": schedule_to_json_dict(local),
+        "global_filter.json": schedule_to_json_dict(glob),
     }
 
 

@@ -19,7 +19,8 @@ class RiccatiError(_StageError):
 
 
 class SingularInnovationError(_StageError):
-    """Raised when an innovation covariance is numerically singular."""
+    """Raised when an innovation covariance is numerically singular or not
+    finite, as when an unobserved state's covariance overflows."""
 
 
 class NonFiniteCostError(RuntimeError):

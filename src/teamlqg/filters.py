@@ -10,10 +10,12 @@ never stored as a second recursion.
 
 Both schedules (covariances and gains, one ``FilterSchedule`` each) come
 from one forward covariance recursion, the dual of the backward Riccati
-pass in ``riccati``: the deviation schedule runs it on the local matrices
-with n = 1, the aggregate schedule on the coupled sums with every noise
-covariance divided by n.  They depend only on the model, so they are
-precomputed once.  Stepping is cheap linear algebra on top, batched over
+pass in ``riccati``, over a leading chain axis: the deviation chain on the
+local matrices with noise divisor 1, the aggregate chain on the coupled
+sums with every noise covariance divided by n.  ``precompute_filters`` runs
+both chains in one pass, ``precompute_local``/``precompute_global`` one
+alone.  They depend only on the model, so they are precomputed once.
+Stepping is cheap linear algebra on top, batched over
 rollouts along a leading axis; the simulator and a single hand-driven
 trajectory use the same update and predict functions.  Stepping arrays are
 agent-last, ``(B, d, n)``: a stage matrix applies as ``M @ x``, an influence
@@ -30,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularInnovationError
-from .model import TeamModel
+from .model import TeamModel, _chain_pair
 
 _SINGULAR_REL = 1e-12
 
@@ -52,37 +54,56 @@ class FilterSchedule:
 
 
 def _checked_gain(sigma_pred: np.ndarray, obs: np.ndarray, noise_cov: np.ndarray,
-                  t: int, label: str) -> np.ndarray:
-    cov = obs @ sigma_pred @ obs.T + noise_cov
-    cov = 0.5 * (cov + cov.T)
-    eigs = np.linalg.eigvalsh(cov)
-    if eigs[0] <= _SINGULAR_REL * max(np.trace(cov), 0.0):
-        raise SingularInnovationError(f"{label} innovation covariance is singular", t + 1)
-    return np.linalg.solve(cov, obs @ sigma_pred).T
+                  t: int, labels) -> np.ndarray:
+    """Kalman gains of the chains stacked on the leading axis, one label per
+    chain; the first chain whose innovation covariance is not finite or
+    numerically singular raises."""
+    cov = obs @ sigma_pred @ obs.swapaxes(-1, -2) + noise_cov
+    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+    for label, chain_cov in zip(labels, cov):
+        if not np.isfinite(chain_cov).all():
+            raise SingularInnovationError(
+                f"{label} innovation covariance is not finite", t + 1)
+        eigs = np.linalg.eigvalsh(chain_cov)
+        if eigs[0] <= _SINGULAR_REL * max(np.trace(chain_cov), 0.0):
+            raise SingularInnovationError(
+                f"{label} innovation covariance is singular", t + 1)
+    return np.linalg.solve(cov, obs @ sigma_pred).swapaxes(-1, -2)
 
 
-def _forward_chain(A, E, C, S, Sigma_x, Sigma_w, Sigma_v, n: int,
-                   label: str) -> FilterSchedule:
-    T, d_x, _ = A.shape
-    sigma_pred = np.zeros((T, d_x, d_x))
-    sigma_post = np.zeros((T, d_x, d_x))
-    gain = np.zeros((T, d_x, C.shape[1]))
-    sigma_pred[0] = Sigma_x / n
+@np.errstate(over="ignore", invalid="ignore")
+def _forward_chain(model: TeamModel, labels: tuple[str, ...]) -> list[FilterSchedule]:
+    """The schedules of the chains named in ``labels``, from one pass over a
+    leading chain axis."""
+    pick = [("deviation", "aggregate").index(label) for label in labels]
+    A, E, C, S = (_chain_pair(model, name)[pick] for name in "AECS")
+    n = np.array([1.0, model.dims.n])[pick, None, None]
+    T, d_x = model.dims.T, model.dims.d_x
+    sigma_pred = np.zeros((len(pick), T, d_x, d_x))
+    sigma_post = np.zeros((len(pick), T, d_x, d_x))
+    gain = np.zeros((len(pick), T, d_x, model.dims.d_y))
+    sigma_pred[:, 0] = model.Sigma_x / n
     for t in range(T):
-        noise = S[t] @ Sigma_v[t] @ S[t].T / n
-        gain[t] = _checked_gain(sigma_pred[t], C[t], noise, t, label)
-        post = (np.eye(d_x) - gain[t] @ C[t]) @ sigma_pred[t]
-        sigma_post[t] = 0.5 * (post + post.T)
+        noise = S[:, t] @ model.Sigma_v[t] @ S[:, t].swapaxes(-1, -2) / n
+        gain[:, t] = _checked_gain(sigma_pred[:, t], C[:, t], noise, t, labels)
+        post = (np.eye(d_x) - gain[:, t] @ C[:, t]) @ sigma_pred[:, t]
+        sigma_post[:, t] = 0.5 * (post + post.swapaxes(-1, -2))
         if t + 1 < T:
-            nxt = A[t] @ sigma_post[t] @ A[t].T + E[t] @ Sigma_w[t] @ E[t].T / n
-            sigma_pred[t + 1] = 0.5 * (nxt + nxt.T)
-    return FilterSchedule(Sigma_pred=sigma_pred, Sigma_post=sigma_post, gain=gain)
+            nxt = (A[:, t] @ sigma_post[:, t] @ A[:, t].swapaxes(-1, -2)
+                   + E[:, t] @ model.Sigma_w[t] @ E[:, t].swapaxes(-1, -2) / n)
+            sigma_pred[:, t + 1] = 0.5 * (nxt + nxt.swapaxes(-1, -2))
+    return [FilterSchedule(Sigma_pred=sigma_pred[k], Sigma_post=sigma_post[k],
+                           gain=gain[k]) for k in range(len(pick))]
+
+
+def precompute_filters(model: TeamModel) -> tuple[FilterSchedule, FilterSchedule]:
+    """Both filter schedules, deviation then aggregate, from one forward pass."""
+    return tuple(_forward_chain(model, ("deviation", "aggregate")))
 
 
 def precompute_local(model: TeamModel) -> FilterSchedule:
     """Run the deviation-filter covariance recursion over the whole horizon."""
-    return _forward_chain(model.A, model.E, model.C, model.S, model.Sigma_x,
-                          model.Sigma_w, model.Sigma_v, 1, "deviation")
+    return _forward_chain(model, ("deviation",))[0]
 
 
 def precompute_global(model: TeamModel) -> FilterSchedule:
@@ -92,10 +113,7 @@ def precompute_global(model: TeamModel) -> FilterSchedule:
     covariance in the schedule is exactly proportional to 1/n under a
     homogeneous influence vector, while the gains are n-independent.
     """
-    return _forward_chain(model.A + model.A_bar, model.E + model.E_bar,
-                          model.C + model.C_bar, model.S + model.S_bar,
-                          model.Sigma_x, model.Sigma_w, model.Sigma_v,
-                          model.dims.n, "aggregate")
+    return _forward_chain(model, ("aggregate",))[0]
 
 
 def _matvec(M: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -254,6 +254,13 @@ def make_model(
     )
 
 
+def _chain_pair(model: TeamModel, name: str) -> np.ndarray:
+    """Stage stack ``name`` of both chains, (2, T, rows, cols): the
+    deviation chain's X, then the aggregate chain's coupled sum X + X_bar."""
+    own = getattr(model, name)
+    return np.stack([own, own + getattr(model, name + "_bar")])
+
+
 def resize_team(model: TeamModel, n: int) -> TeamModel:
     """Rebuild the model for a population of n agents with homogeneous influence."""
     if n < 2:

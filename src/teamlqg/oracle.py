@@ -9,8 +9,9 @@ n is.  On their flattened linear-Gaussian system a standard Kalman filter
 conditions on all observations at once, and expected costs propagate the
 moments of the closed loop of a strategy and its estimator internals.
 These routines are the independent ground truth the decentralized modules
-are checked against, so none of them may reuse the decentralized
-recursions.
+are checked against, so none of them may reuse the decentralized stepping
+code; ``centralized_filter`` shares only the gain check.  ``exact_cost``
+costs the rule that the strategy's ``prepare`` returns, solved afresh.
 """
 
 from __future__ import annotations
@@ -19,18 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import _checked_gain, precompute_global, precompute_local
+from .filters import _checked_gain
 from .model import TeamModel
-from .riccati import solve_riccati
-from .strategy import (
-    CustomLinear,
-    MeanField,
-    Optimal,
-    StrategyKind,
-    ZeroAction,
-    meanfield_trajectory,
-    optimal_coefficients,
-)
+from .strategy import CustomLinear, Prepared, StrategyKind, ZeroAction
 
 
 @dataclass(frozen=True)
@@ -175,7 +167,8 @@ def centralized_filter(joint: JointModel, y: np.ndarray, u: np.ndarray) -> Joint
     sig_pred[0] = joint.Sigma_x
     for t in range(T):
         noise = joint.S[t] @ joint.Sigma_v[t] @ joint.S[t].T
-        gain = _checked_gain(sig_pred[t], joint.C[t], noise, t, "joint")
+        gain = _checked_gain(sig_pred[t][None], joint.C[t][None], noise[None],
+                             t, ("joint",))[0]
         innov = y[..., t, :] - mean @ joint.C[t].T
         mean_post[..., t, :] = mean + innov @ gain.T
         post = (np.eye(N) - gain @ joint.C[t]) @ sig_pred[t]
@@ -248,7 +241,8 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _spread(alpha: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``np.kron(alpha, v[t])`` for every stage t."""
-    return (alpha[None, :, None] * v[:, None, :]).reshape(v.shape[0], -1)
+    return (alpha[None, :, None] * v[:, None, :]).reshape(
+        v.shape[0], alpha.shape[0] * v.shape[1])
 
 
 def _mean_maps(team: _Team, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -305,67 +299,59 @@ def _estimator_transition_maps(model: TeamModel, team: _Team):
     return T_s, T_u
 
 
-def _filtering_policy(model: TeamModel, team: _Team,
-                      coeffs: CustomLinear) -> tuple[np.ndarray, _StageMaps]:
-    """Closed-loop maps for any rule linear in (estimates, observations)."""
+def _policy_maps(model: TeamModel, prep: Prepared,
+                 team: _Team) -> tuple[np.ndarray, _StageMaps]:
+    """Closed-loop maps of what a strategy acts with, branching as
+    ``sim._run_batch`` does: no estimator, or a rule linear in (estimates,
+    observations) on a planned or a filtered aggregate.
+
+    The rule's internal state s holds the predicted deviations and, when it
+    filters the aggregate, the predicted aggregate.  It updates to
+    U_s s + U_y y + c and moves on as T_s s + T_u u + e, and the rule acts
+    as W_sigma s + D_y y + a on the updated state.  A planned aggregate is a
+    known path: it enters c, e and a, and the whole innovation drives the
+    private deviation filters.
+    """
+    if prep.coeffs is None:
+        return _zero_policy(model, team)
     d = model.dims
     S = d.T - 1
     alpha = team.alpha[:, None]
     eye = np.eye(team.size)
-    a_mean = model.alpha_mean
-    s0 = np.concatenate([
-        np.outer(team.ones - team.alpha * a_mean, model.mu_x).reshape(-1),
-        a_mean * model.mu_x,
-    ])
+    nd = team.size * d.d_x
+    coeffs = prep.coeffs
     _, G_y = _mean_maps(team, d.d_y)
-    U_s, U_y = _estimator_update_maps(
-        model, team, precompute_local(model), precompute_global(model))
-    T_s, T_u = _estimator_transition_maps(model, team)
-    # action from sigma_post: deviation block and aggregate block
+    # action from the updated state: deviation block and aggregate block
     W_sigma = np.block([
         _kron_stack(eye, coeffs.theta),
         _kron_stack(alpha, coeffs.theta + coeffs.phi),
     ])
     # direct observation terms: own observation plus the weighted average
     D_y = _kron_stack(eye, coeffs.psi) + _kron_stack(alpha, coeffs.omega) @ G_y
+    s0 = np.outer(team.ones - team.alpha * model.alpha_mean, model.mu_x).reshape(-1)
+    if prep.glob is None:
+        L, mean, C = prep.local.gain[:S], prep.plan.mean[:S], model.C[:S]
+        U_s = np.eye(nd) - _kron_stack(eye, L @ C)
+        U_y = _kron_stack(eye, L)
+        c = -_spread(team.alpha, _matvec(L @ (C + model.C_bar[:S]), mean))
+        T_s = _kron_stack(eye, model.A[:S])
+        T_u = _kron_stack(eye, model.B[:S])
+        e = -_spread(team.alpha, _matvec(model.B[:S], prep.plan.u_bar))
+        W_sigma, a = W_sigma[:, :, :nd], _matvec(W_sigma[:, :, nd:], mean)
+    else:
+        s0 = np.concatenate([s0, model.alpha_mean * model.mu_x])
+        U_s, U_y = _estimator_update_maps(model, team, prep.local, prep.glob)
+        T_s, T_u = _estimator_transition_maps(model, team)
+        c = e = np.zeros((S, s0.shape[0]))
+        a = np.zeros((S, team.size * d.d_u))
     return s0, _StageMaps(
         K_s=W_sigma @ U_s,
         K_y=W_sigma @ U_y + D_y,
-        k=np.zeros((S, team.size * d.d_u)),
+        k=_matvec(W_sigma, c) + a,
         F_s=T_s @ U_s,
         F_y=T_s @ U_y,
         F_u=T_u,
-        f=np.zeros((S, s0.shape[0])),
-    )
-
-
-def _meanfield_policy(model: TeamModel, team: _Team) -> tuple[np.ndarray, _StageMaps]:
-    """Closed-loop maps of the mean-field rule with its private filters."""
-    d = model.dims
-    S = d.T - 1
-    alpha = team.alpha
-    gains = solve_riccati(model)
-    L = precompute_local(model).gain[:S]
-    plan = meanfield_trajectory(model, gains)
-    a_mean = model.alpha_mean
-    s0 = np.outer(team.ones - alpha * a_mean, model.mu_x).reshape(-1)
-    eye = np.eye(team.size)
-    C = model.C[:S]
-    C_all = C + model.C_bar[:S]
-    mean = plan.mean[:S]
-    U_s = np.eye(team.size * d.d_x) - _kron_stack(eye, L @ C)
-    U_y = _kron_stack(eye, L)
-    c_upd = -_spread(alpha, _matvec(L @ C_all, mean))
-    gain_block = _kron_stack(eye, gains.gain)
-    A_block = _kron_stack(eye, model.A[:S])
-    return s0, _StageMaps(
-        K_s=gain_block @ U_s,
-        K_y=gain_block @ U_y,
-        k=_matvec(gain_block, c_upd) + _spread(alpha, _matvec(gains.gain_agg, mean)),
-        F_s=A_block @ U_s,
-        F_y=A_block @ U_y,
-        F_u=_kron_stack(eye, model.B[:S]),
-        f=_matvec(A_block, c_upd) - _spread(alpha, _matvec(model.B[:S], plan.u_bar)),
+        f=_matvec(T_s, c) + e,
     )
 
 
@@ -384,26 +370,13 @@ def _zero_policy(model: TeamModel, team: _Team) -> tuple[np.ndarray, _StageMaps]
     )
 
 
-def _policy_maps(model: TeamModel, kind: StrategyKind,
-                 team: _Team) -> tuple[np.ndarray, _StageMaps]:
-    if isinstance(kind, ZeroAction):
-        return _zero_policy(model, team)
-    if isinstance(kind, Optimal):
-        return _filtering_policy(
-            model, team, optimal_coefficients(solve_riccati(model), model))
-    if isinstance(kind, MeanField):
-        return _meanfield_policy(model, team)
-    if isinstance(kind, CustomLinear):
-        return _filtering_policy(model, team, kind)
-    raise TypeError(f"unsupported strategy kind {kind!r}")
-
-
 def exact_cost(model: TeamModel, kind: StrategyKind) -> float:
     """Exact expected team cost of a strategy, by closed-loop moment propagation.
 
-    The team is split into an orthonormal basis of span{1, alpha} and its
-    orthogonal complement (see ``_Team.reduced``), so the closed loop runs
-    on at most three virtual agents whatever n is.  The augmented state is
+    The strategy is costed as ``kind.prepare(model)`` defines it.  The team
+    is split into an orthonormal basis of span{1, alpha} and its orthogonal
+    complement (see ``_Team.reduced``), so the closed loop runs on at most
+    three virtual agents whatever n is.  The augmented state is
     zeta = [their states; estimator internals], and u = K zeta + K_v v + k.
     The closed loop zeta' = F zeta + G_w w + G_v v + f is built for every
     stage at once; then the mean and covariance of zeta are pushed through
@@ -413,7 +386,7 @@ def exact_cost(model: TeamModel, kind: StrategyKind) -> float:
     """
     team = _Team.reduced(model)
     system = _assemble(model, team)
-    s0, maps = _policy_maps(model, kind, team)
+    s0, maps = _policy_maps(model, kind.prepare(model), team)
     T = model.T
     S = T - 1
     N = system.mu.shape[0]

@@ -35,13 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonFiniteCostError
-from .filters import (
-    _matvec,
-    precompute_global,
-    predict_estimates,
-    prior_estimates,
-    update_estimates,
-)
+from .filters import _matvec, predict_estimates, prior_estimates, update_estimates
 from .model import Dimensions, TeamModel
 from .strategy import MeanField, Optimal, Prepared, StrategyKind
 
@@ -384,8 +378,6 @@ def _run_strategies(model: TeamModel, kinds: tuple[StrategyKind, ...],
     steps every strategy through it.  ``chunk`` None sizes chunks by
     ``_default_chunk``, and splits them across ``workers``.
     """
-    if n_rollouts <= 0:
-        raise ValueError("n_rollouts must be positive")
     preps = [_prepare(model, kind) for kind in kinds]
     return _run_prepared(model, preps, seed, n_rollouts, chunk, workers,
                          keep_traces)
@@ -395,6 +387,8 @@ def _run_prepared(model: TeamModel, preps: list[Prepared], seed: int,
                   n_rollouts: int, chunk: Optional[int], workers: int,
                   keep_traces: int = 0) -> list[RolloutBatch]:
     """``_run_strategies`` on strategies already prepared for ``model``."""
+    if n_rollouts <= 0:
+        raise ValueError("n_rollouts must be positive")
     if chunk is None:
         chunk = min(_default_chunk(model.dims),
                     math.ceil(n_rollouts / max(workers, 1)))
@@ -509,16 +503,14 @@ def convergence_experiment(model: TeamModel, n_list: tuple[int, ...],
     rows = []
     for n in n_list:
         sized = resize_team(model, n)
-        glob = precompute_global(sized)
-        max_sigma = float(np.abs(glob.Sigma_post).max())
-        meanfield, optimal = _run_strategies(
-            sized, (MeanField(), Optimal()), seed, rollouts, None,
-            workers)
+        preps = [_prepare(sized, MeanField()), _prepare(sized, Optimal())]
+        meanfield, optimal = _run_prepared(sized, preps, seed, rollouts, None,
+                                           workers)
         gap, se = _mean_se(meanfield.costs - optimal.costs)
         exact_gap = exact_cost(sized, MeanField()) - exact_cost(sized, Optimal())
         rows.append(ConvergenceRow(
             n=n,
-            max_sigma_bar=max_sigma,
+            max_sigma_bar=float(np.abs(preps[1].glob.Sigma_post).max()),
             ms_correction=float(optimal.ms_correction.mean()),
             cost_gap=gap,
             gap_se=se,

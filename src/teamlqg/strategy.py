@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .filters import FilterSchedule, _matvec, precompute_global, precompute_local
+from .filters import FilterSchedule, _matvec, precompute_filters, precompute_local
 from .model import TeamModel, _read_json, _stack_stage
 from .riccati import RiccatiPass, solve_riccati
 
@@ -52,7 +52,7 @@ class Optimal:
 
     def prepare(self, model: TeamModel) -> Prepared:
         return Prepared(optimal_coefficients(solve_riccati(model), model),
-                        precompute_local(model), precompute_global(model), None)
+                        *precompute_filters(model), None)
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ class CustomLinear:
                       for key in cols})
 
     def prepare(self, model: TeamModel) -> Prepared:
-        return Prepared(self, precompute_local(model), precompute_global(model), None)
+        return Prepared(self, *precompute_filters(model), None)
 
     def act(self, t: int, delta: np.ndarray, agg: np.ndarray, y: np.ndarray,
             alpha: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ one agent and one step at a time, so the vectorized production code has an
 independent implementation to agree with.
 """
 
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -178,7 +179,7 @@ def joint_exact_cost(model, kind):
     d = model.dims
     N = d.n * d.d_x
     joint = dense_joint_model(model)
-    s0, maps = _policy_maps(model, kind, _all_agents(model))
+    s0, maps = _policy_maps(model, kind.prepare(model), _all_agents(model))
     ds = s0.shape[0]
     nz = N + ds
 
@@ -226,6 +227,83 @@ def joint_exact_cost(model, kind):
         M = 0.5 * (M + M.T)
         m = m_next
     return total
+
+
+# ---------------------------------------------------------------------------
+# Schedules, one chain per pass
+#
+# The package runs the deviation and aggregate chains of each schedule as one
+# pass over a leading chain axis.  These are the recursions it had before,
+# one chain at a time, kept as the byte-for-byte reference for that pass.
+
+
+def schedule_bytes(schedule):
+    """Shape and raw bytes of every stack of a ``FilterSchedule`` or
+    ``RiccatiPass``, for comparing schedules byte for byte."""
+    return {f.name: (getattr(schedule, f.name).shape,
+                     getattr(schedule, f.name).tobytes())
+            for f in fields(schedule)}
+
+
+def _backward_chain(A, B, Q, R):
+    T, d_x, _ = A.shape
+    P = np.zeros((T, d_x, d_x))
+    gain = np.zeros((max(T - 1, 0), B.shape[2], d_x))
+    P[T - 1] = 0.5 * (Q[T - 1] + Q[T - 1].T)
+    for t in range(T - 2, -1, -1):
+        nxt = P[t + 1]
+        inner = B[t].T @ nxt @ B[t] + R[t]
+        inner = 0.5 * (inner + inner.T)
+        gain[t] = -np.linalg.solve(inner, B[t].T @ nxt @ A[t])
+        closed = A[t] + B[t] @ gain[t]
+        P[t] = Q[t] + A[t].T @ nxt @ closed
+        P[t] = 0.5 * (P[t] + P[t].T)
+    return P, gain
+
+
+def solve_riccati(model):
+    """The deviation and the aggregate Riccati pass, one after the other."""
+    from teamlqg.riccati import RiccatiPass
+
+    P, gain = _backward_chain(model.A, model.B, model.Q, model.R)
+    P_agg, gain_agg = _backward_chain(
+        model.A + model.A_bar, model.B + model.B_bar,
+        model.Q + model.Q_bar, model.R + model.R_bar)
+    return RiccatiPass(P=P, P_agg=P_agg, gain=gain, gain_agg=gain_agg)
+
+
+def _forward_chain(A, E, C, S, Sigma_x, Sigma_w, Sigma_v, n):
+    from teamlqg.filters import FilterSchedule
+
+    T, d_x, _ = A.shape
+    sigma_pred = np.zeros((T, d_x, d_x))
+    sigma_post = np.zeros((T, d_x, d_x))
+    gain = np.zeros((T, d_x, C.shape[1]))
+    sigma_pred[0] = Sigma_x / n
+    for t in range(T):
+        cov = C[t] @ sigma_pred[t] @ C[t].T + S[t] @ Sigma_v[t] @ S[t].T / n
+        cov = 0.5 * (cov + cov.T)
+        gain[t] = np.linalg.solve(cov, C[t] @ sigma_pred[t]).T
+        post = (np.eye(d_x) - gain[t] @ C[t]) @ sigma_pred[t]
+        sigma_post[t] = 0.5 * (post + post.T)
+        if t + 1 < T:
+            nxt = A[t] @ sigma_post[t] @ A[t].T + E[t] @ Sigma_w[t] @ E[t].T / n
+            sigma_pred[t + 1] = 0.5 * (nxt + nxt.T)
+    return FilterSchedule(Sigma_pred=sigma_pred, Sigma_post=sigma_post, gain=gain)
+
+
+def precompute_local(model):
+    """The deviation filter schedule on its own."""
+    return _forward_chain(model.A, model.E, model.C, model.S, model.Sigma_x,
+                          model.Sigma_w, model.Sigma_v, 1)
+
+
+def precompute_global(model):
+    """The aggregate filter schedule on its own: coupled sums, noise / n."""
+    return _forward_chain(model.A + model.A_bar, model.E + model.E_bar,
+                          model.C + model.C_bar, model.S + model.S_bar,
+                          model.Sigma_x, model.Sigma_w, model.Sigma_v,
+                          model.dims.n)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,36 @@ def test_overflowing_precompute_prints_only_its_failure(tmp_path, capsys):
                    "at t=23\n")
 
 
+_RUN_FLAGS = {"precompute": [],
+              "simulate": ["--rollouts", "8", "--workers", "1"]}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", sorted(_RUN_FLAGS))
+def test_overflowing_filter_schedule_is_numerical_failure(tmp_path, capsys,
+                                                          command):
+    # C = 0 leaves the state unobserved, so the filter covariances grow like
+    # A^(2t) and overflow; nothing may be written from them
+    path = tmp_path / "blind.json"
+    save_model(scalar_pair_model(T=60, A=1e10, C=0.0), path)
+    out = tmp_path / "out"
+    assert main([command, "--model", str(path), "--out", str(out),
+                 *_RUN_FLAGS[command]]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: deviation innovation covariance is not finite "
+        "at t=17\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", sorted(_RUN_FLAGS))
+def test_growing_unobserved_state_still_runs(tmp_path, command):
+    path = tmp_path / "blind.json"
+    save_model(scalar_pair_model(T=60, A=1.5, C=0.0), path)
+    assert main([command, "--model", str(path), "--out", str(tmp_path / "out"),
+                 *_RUN_FLAGS[command]]) == 0
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_cost_is_numerical_failure(tmp_path, capsys):
     # the uncontrolled state overflows, so costs are inf or nan, never printed

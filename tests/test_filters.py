@@ -12,6 +12,7 @@ from teamlqg import SingularInnovationError, make_model, normalize_influence, re
 from teamlqg.filters import (
     FilterSchedule,
     combined_agent_estimate,
+    precompute_filters,
     precompute_global,
     precompute_local,
     prior_estimates,
@@ -19,13 +20,19 @@ from teamlqg.filters import (
     team_error_covariance,
     update_estimates,
 )
+from teamlqg.oracle import exact_cost
 from teamlqg.random_models import random_team
+from teamlqg.sim import run_rollouts
+from teamlqg.strategy import MeanField
 from conftest import scalar_pair_model
 from reference import (
     direct_estimate_recursion,
     run_decentralized_filters,
     simulate_truth,
 )
+from test_random_models import OPTIONS
+
+import reference
 
 
 def test_local_schedule_scalar_values(model_s1):
@@ -194,6 +201,38 @@ def test_dead_observation_model_raises():
     with pytest.raises(SingularInnovationError) as err:
         precompute_local(model)
     assert err.value.t == 1
+    # both chains are singular at this stage; the deviation chain is named
+    with pytest.raises(SingularInnovationError,
+                       match="^deviation innovation covariance is singular at t=1$"):
+        precompute_filters(model)
+
+
+def test_singular_aggregate_filter_spares_the_deviation_chain():
+    """C + C_bar = 0 and S + S_bar = 0 leave only the aggregate filter blind;
+    the mean-field rule, which carries no aggregate filter, still runs."""
+    model = scalar_pair_model(T=3, C_bar=-1.0, S_bar=-1.0)
+    with pytest.raises(SingularInnovationError,
+                       match="^aggregate innovation covariance is singular at t=1$"):
+        precompute_filters(model)
+    assert np.isfinite(precompute_local(model).Sigma_post).all()
+    assert np.isfinite(run_rollouts(model, MeanField(), n_rollouts=8).costs).all()
+    assert np.isfinite(exact_cost(model, MeanField()))
+
+
+@pytest.mark.parametrize("options", OPTIONS, ids=json.dumps)
+def test_paired_pass_is_byte_equal_to_one_chain_at_a_time(options):
+    """Both schedules from one pass, and each alone, equal the per-chain
+    recursions byte for byte."""
+    rng = np.random.default_rng(len(json.dumps(options)))
+    for _ in range(40):
+        model = random_team(rng, **options)
+        want = (reference.precompute_local(model),
+                reference.precompute_global(model))
+        got = (*precompute_filters(model), precompute_local(model),
+               precompute_global(model))
+        for schedule, ref in zip(got, want + want):
+            assert (reference.schedule_bytes(schedule)
+                    == reference.schedule_bytes(ref))
 
 
 def test_team_error_covariance_scalar_values(model_s1):

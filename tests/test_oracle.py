@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from teamlqg import make_model
+from teamlqg import SingularInnovationError, make_model
 from teamlqg.filters import (
     combined_agent_estimate,
     precompute_global,
@@ -135,6 +135,16 @@ def _expand(reduced, basis, d_x):
     return dense
 
 
+def test_centralized_filter_rejects_a_non_finite_covariance():
+    """An unobserved state whose covariance overflows fails the shared gain
+    check instead of filtering with NaN."""
+    model = scalar_pair_model(T=60, A=1e10, C=0.0)
+    joint = dense_joint_model(model)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            SingularInnovationError, match="joint innovation covariance is not finite"):
+        centralized_filter(joint, np.zeros((60, 2)), np.zeros((59, 2)))
+
+
 def _assert_reduced_matches_dense(model, rng):
     """The reduced team's estimates and covariances equal the dense joint
     filter's on one trajectory."""
@@ -206,7 +216,8 @@ def test_check_one_model_at_large_n(n):
 
 def test_check_one_model_solves_each_schedule_once(monkeypatch):
     """The schedules the rule is prepared with also serve the covariance
-    check: two forward passes per model, the deviation and the aggregate."""
+    check: one forward pass per model, over the deviation and aggregate
+    chains together."""
     from teamlqg import filters
 
     calls = []
@@ -223,7 +234,7 @@ def test_check_one_model_solves_each_schedule_once(monkeypatch):
         for kind in (_random_rule(model, rng), Optimal()):
             calls.clear()
             check_one_model(model, kind, seed=seed)
-            assert sorted(calls) == ["aggregate", "deviation"]
+            assert calls == [("deviation", "aggregate")]
 
 
 def test_verification_maxima_match_fresh_schedules():
@@ -283,6 +294,14 @@ def test_team_error_covariance_of_a_stage_slice_stacks_each_stage():
 def test_exact_cost_zero_strategy_single_stage():
     model = scalar_pair_model(T=1)
     assert exact_cost(model, ZeroAction()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_exact_cost_at_one_stage_is_the_same_for_every_strategy():
+    """With no action stage every rule costs the initial state alone."""
+    model = scalar_pair_model(T=1, C_bar=0.5, mu_x=1.0)
+    zero = exact_cost(model, ZeroAction())
+    for kind in (Optimal(), MeanField(), CustomLinear.from_json_dict({}, model)):
+        assert exact_cost(model, kind) == zero
 
 
 def test_exact_cost_zero_strategy_pair(model_s1):

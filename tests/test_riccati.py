@@ -1,5 +1,7 @@
 """Backward value recursions: hand-checked schedules and structural properties."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,9 @@ from teamlqg import RiccatiError, make_model, validate
 from teamlqg.random_models import random_team
 from teamlqg.riccati import solve_riccati
 from conftest import scalar_pair_model
+from test_random_models import OPTIONS
+
+import reference
 
 
 def test_two_step_scalar_schedule(model_s1):
@@ -49,7 +54,27 @@ def test_degenerate_inner_matrix_raises():
     with pytest.raises(RiccatiError) as err:
         solve_riccati(model)
     assert err.value.t == 1
-    assert "t=1" in str(err.value)
+    # both chains fail at this stage; the deviation chain is named
+    assert str(err.value) == ("deviation Riccati inner matrix not positive "
+                              "definite at t=1")
+
+
+def test_aggregate_inner_matrix_failure_names_its_chain():
+    # B + B_bar = 0 and R + R_bar = 0: only the aggregate inner matrix is zero
+    model = scalar_pair_model(T=3, B_bar=-1.0, R_bar=-1.0)
+    with pytest.raises(RiccatiError) as err:
+        solve_riccati(model)
+    assert str(err.value) == ("aggregate Riccati inner matrix not positive "
+                              "definite at t=2")
+
+
+@pytest.mark.parametrize("options", OPTIONS, ids=json.dumps)
+def test_paired_pass_is_byte_equal_to_one_chain_at_a_time(options):
+    rng = np.random.default_rng(len(json.dumps(options)))
+    for _ in range(40):
+        model = random_team(rng, **options)
+        assert (reference.schedule_bytes(solve_riccati(model))
+                == reference.schedule_bytes(reference.solve_riccati(model)))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
