@@ -32,7 +32,7 @@ EXIT_USAGE = 64
 _NUMERICAL_ERRORS = (RiccatiError, SingularInnovationError, NonFiniteCostError)
 
 # the smallest value of each count flag, checked before any work
-_MINIMUM_COUNTS = {"rollouts": 1, "models": 0, "trace_rollouts": 0}
+_MINIMUM_COUNTS = {"rollouts": 1, "models": 0, "trace_rollouts": 0, "workers": 1}
 
 
 class _UsageError(Exception):
@@ -280,14 +280,13 @@ def cmd_convergence(args) -> int:
                 str(row.n), _fmt(row.max_sigma_bar), _fmt(row.ms_correction),
                 _fmt(row.cost_gap), _fmt(row.gap_se), _fmt(row.exact_gap),
             ]) + "\n")
-    summary = {
-        "slope_sigma": result.slope_sigma,
-        "slope_correction": result.slope_correction,
-        "slope_gap": result.slope_gap,
-        "slope_exact_gap": result.slope_exact_gap,
-        "rows": [dict(row.__dict__, n_exact_gap=row.n * row.exact_gap)
-                 for row in result.rows],
-    }
+    # a slope that cannot be fit (NaN) is written as null
+    slopes = {key: None if np.isnan(value) else value
+              for key, value in result.__dict__.items()
+              if key.startswith("slope_")}
+    summary = dict(slopes, rows=[
+        dict(row.__dict__, n_exact_gap=row.n * row.exact_gap)
+        for row in result.rows])
     _write_json(os.path.join(out, "convergence_summary.json"), summary)
     _write_manifest(out, "convergence",
                     ["convergence.csv", "convergence_summary.json"],
@@ -295,9 +294,11 @@ def cmd_convergence(args) -> int:
                            else "builtin:benchmark"),
                     n_list=list(n_list), seed=args.seed,
                     rollouts=args.rollouts)
-    print(f"slopes: sigma {_fmt(result.slope_sigma)}, "
-          f"correction {_fmt(result.slope_correction)}, "
-          f"gap {_fmt(result.slope_gap)}")
+    shown = {key: "undefined" if value is None else _fmt(value)
+             for key, value in slopes.items()}
+    print(f"slopes: sigma {shown['slope_sigma']}, "
+          f"correction {shown['slope_correction']}, "
+          f"gap {shown['slope_gap']}")
     return EXIT_OK
 
 

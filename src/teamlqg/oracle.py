@@ -6,12 +6,13 @@ noise covariance is I (x) Sigma, so an orthogonal change of agent
 coordinates splits the team into span{1, alpha} and n - r identical,
 decoupled agents on its complement: at most three virtual agents, whatever
 n is.  On their flattened linear-Gaussian system a standard Kalman filter
-conditions on all observations at once, and expected costs propagate the
-moments of the closed loop of a strategy and its estimator internals.
+conditions on all observations at once.  ``_closed_loop`` composes, in one
+place, the rule that a strategy's ``prepare`` returns (solved afresh) with
+that system, over the agents' states and the rule's estimator internals;
+``exact_cost`` is the forward pass of the loop's mean and covariance.
 These routines are the independent ground truth the decentralized modules
 are checked against, so none of them may reuse the decentralized stepping
-code; ``centralized_filter`` shares only the gain check.  ``exact_cost``
-costs the rule that the strategy's ``prepare`` returns, solved afresh.
+code; ``centralized_filter`` shares only the gain check.
 """
 
 from __future__ import annotations
@@ -220,17 +221,26 @@ def centralized_estimates(model: TeamModel, y: np.ndarray,
 # Exact expected cost of a closed loop
 
 
-@dataclass
-class _StageMaps:
-    """Affine maps of every action stage, stacked on a leading stage axis:
-    action from (s, y), internal transition."""
+@dataclass(frozen=True)
+class _ClosedLoop:
+    """A rule's closed loop on ``system``, stacked over the action stages.
 
-    K_s: np.ndarray
-    K_y: np.ndarray
+    The augmented state is zeta = [the agents' states; the rule's internal
+    state], starting at mean ``m0`` with covariance ``P0``.  At stage t the
+    rule acts as u = K zeta + K_v v + k, and zeta moves on as
+    zeta' = F zeta + G_w w + G_v v + f, where ``G_w`` (the system's E) feeds
+    only the states' block.
+    """
+
+    system: JointModel
+    m0: np.ndarray
+    P0: np.ndarray
+    K: np.ndarray
+    K_v: np.ndarray
     k: np.ndarray
-    F_s: np.ndarray
-    F_y: np.ndarray
-    F_u: np.ndarray
+    F: np.ndarray
+    G_w: np.ndarray
+    G_v: np.ndarray
     f: np.ndarray
 
 
@@ -252,121 +262,99 @@ def _mean_maps(team: _Team, k: int) -> tuple[np.ndarray, np.ndarray]:
     return proj, np.kron(team.alpha[None, :] / team.n, np.eye(k))
 
 
-def _estimator_update_maps(model: TeamModel, team: _Team, local, glob):
-    """Affine update of the internal state sigma = [deviations; aggregate].
+def _closed_loop(model: TeamModel, prep: Prepared, team: _Team) -> _ClosedLoop:
+    """The closed loop of what a strategy acts with on ``team``'s agents.
 
-    Returns stacks (U_s, U_y) over the action stages, with
-    sigma_post = U_s s_pred + U_y y.  The aggregate row subtracts the
-    weighted mean of the deviation block, as the stepping code does.  The
-    stepping code then projects the deviation rows back onto the constraint
-    ``alpha @ delta / n == 0`` and this map does not, so the two agree on
-    the constraint manifold, which every reachable state lies on, and
-    differ off it.
-    """
-    d = model.dims
-    S = d.T - 1
-    eye = np.eye(team.size)
-    proj_y, G_y = _mean_maps(team, d.d_y)
-    L = local.gain[:S]
-    Lg = glob.gain[:S]
-    C = model.C[:S]
-    C_all = C + model.C_bar[:S]
-    nd = team.size * d.d_x
-    # aggregate update: innovation = y_bar - C_all z - C (weighted mean of deviations)
-    U_s = np.block([
-        [np.eye(nd) - _kron_stack(eye, L @ C), np.zeros((S, nd, d.d_x))],
-        [-Lg @ _kron_stack(team.alpha[None, :] / team.n, C),
-         np.eye(d.d_x) - Lg @ C_all],
-    ])
-    U_y = np.block([[_kron_stack(eye, L) @ proj_y], [Lg @ G_y]])
-    return U_s, U_y
-
-
-def _estimator_transition_maps(model: TeamModel, team: _Team):
-    """Affine transition stacks (T_s, T_u): next predicted sigma from
-    (sigma_post, u)."""
-    d = model.dims
-    S = d.T - 1
-    eye = np.eye(team.size)
-    proj_u, G_u = _mean_maps(team, d.d_u)
-    A, B = model.A[:S], model.B[:S]
-    nd = team.size * d.d_x
-    T_s = np.block([
-        [_kron_stack(eye, A), np.zeros((S, nd, d.d_x))],
-        [np.zeros((S, d.d_x, nd)), A + model.A_bar[:S]],
-    ])
-    T_u = np.block([[_kron_stack(eye, B) @ proj_u], [(B + model.B_bar[:S]) @ G_u]])
-    return T_s, T_u
-
-
-def _policy_maps(model: TeamModel, prep: Prepared,
-                 team: _Team) -> tuple[np.ndarray, _StageMaps]:
-    """Closed-loop maps of what a strategy acts with, branching as
-    ``sim._run_batch`` does: no estimator, or a rule linear in (estimates,
-    observations) on a planned or a filtered aggregate.
-
-    The rule's internal state s holds the predicted deviations and, when it
+    It branches as ``sim._run_batch`` does: no estimator, or a rule linear in
+    (estimates, observations) on a planned or a filtered aggregate.  The
+    rule's internal state s holds the predicted deviations and, when it
     filters the aggregate, the predicted aggregate.  It updates to
-    U_s s + U_y y + c and moves on as T_s s + T_u u + e, and the rule acts
-    as W_sigma s + D_y y + a on the updated state.  A planned aggregate is a
-    known path: it enters c, e and a, and the whole innovation drives the
-    private deviation filters.
+    U_s s + U_y y + c, the rule acts as W s + D_y y + a on the updated state,
+    and s moves on as T_s s + T_u u + e.  A planned aggregate is a known
+    path: it enters c, e and a, and the whole innovation drives the private
+    deviation filters.  A filtered aggregate's row subtracts the weighted
+    mean of the deviation block from its innovation, as the stepping code
+    does.  The stepping code then projects the deviation rows back onto the
+    constraint ``alpha @ delta / n == 0`` and these maps do not, so the two
+    agree on the constraint manifold, which every reachable state lies on.
+    A rule with no estimator has no internal state and acts as zero.
     """
-    if prep.coeffs is None:
-        return _zero_policy(model, team)
+    system = _assemble(model, team)
     d = model.dims
     S = d.T - 1
-    alpha = team.alpha[:, None]
     eye = np.eye(team.size)
-    nd = team.size * d.d_x
-    coeffs = prep.coeffs
-    _, G_y = _mean_maps(team, d.d_y)
-    # action from the updated state: deviation block and aggregate block
-    W_sigma = np.block([
-        _kron_stack(eye, coeffs.theta),
-        _kron_stack(alpha, coeffs.theta + coeffs.phi),
-    ])
-    # direct observation terms: own observation plus the weighted average
-    D_y = _kron_stack(eye, coeffs.psi) + _kron_stack(alpha, coeffs.omega) @ G_y
-    s0 = np.outer(team.ones - team.alpha * model.alpha_mean, model.mu_x).reshape(-1)
-    if prep.glob is None:
-        L, mean, C = prep.local.gain[:S], prep.plan.mean[:S], model.C[:S]
+    nd, nu, ny = (team.size * k for k in (d.d_x, d.d_u, d.d_y))
+    if prep.coeffs is None:
+        s0 = np.zeros(0)
+        W, D_y, a = np.zeros((S, nu, 0)), np.zeros((S, nu, ny)), np.zeros((S, nu))
+        U_s, U_y, T_s, T_u = (np.zeros((S, 0, cols)) for cols in (0, ny, 0, nu))
+        c = e = np.zeros((S, 0))
+    else:
+        coeffs = prep.coeffs
+        alpha = team.alpha[:, None]
+        proj_y, G_y = _mean_maps(team, d.d_y)
+        L, C, A, B = prep.local.gain[:S], model.C[:S], model.A[:S], model.B[:S]
+        # action from the updated state: deviation block and aggregate block
+        W = np.block([
+            _kron_stack(eye, coeffs.theta),
+            _kron_stack(alpha, coeffs.theta + coeffs.phi),
+        ])
+        # direct observation terms: own observation plus the weighted average
+        D_y = _kron_stack(eye, coeffs.psi) + _kron_stack(alpha, coeffs.omega) @ G_y
+        s0 = np.outer(team.ones - team.alpha * model.alpha_mean,
+                      model.mu_x).reshape(-1)
         U_s = np.eye(nd) - _kron_stack(eye, L @ C)
         U_y = _kron_stack(eye, L)
-        c = -_spread(team.alpha, _matvec(L @ (C + model.C_bar[:S]), mean))
-        T_s = _kron_stack(eye, model.A[:S])
-        T_u = _kron_stack(eye, model.B[:S])
-        e = -_spread(team.alpha, _matvec(model.B[:S], prep.plan.u_bar))
-        W_sigma, a = W_sigma[:, :, :nd], _matvec(W_sigma[:, :, nd:], mean)
-    else:
-        s0 = np.concatenate([s0, model.alpha_mean * model.mu_x])
-        U_s, U_y = _estimator_update_maps(model, team, prep.local, prep.glob)
-        T_s, T_u = _estimator_transition_maps(model, team)
-        c = e = np.zeros((S, s0.shape[0]))
-        a = np.zeros((S, team.size * d.d_u))
-    return s0, _StageMaps(
-        K_s=W_sigma @ U_s,
-        K_y=W_sigma @ U_y + D_y,
-        k=_matvec(W_sigma, c) + a,
-        F_s=T_s @ U_s,
-        F_y=T_s @ U_y,
-        F_u=T_u,
-        f=_matvec(T_s, c) + e,
-    )
+        T_s = _kron_stack(eye, A)
+        T_u = _kron_stack(eye, B)
+        if prep.glob is None:
+            mean = prep.plan.mean[:S]
+            c = -_spread(team.alpha, _matvec(L @ (C + model.C_bar[:S]), mean))
+            e = -_spread(team.alpha, _matvec(B, prep.plan.u_bar))
+            W, a = W[:, :, :nd], _matvec(W[:, :, nd:], mean)
+        else:
+            # aggregate update: innovation = y_bar - C_all z - C (weighted
+            # mean of deviations)
+            Lg = prep.glob.gain[:S]
+            proj_u, G_u = _mean_maps(team, d.d_u)
+            s0 = np.concatenate([s0, model.alpha_mean * model.mu_x])
+            U_s = np.block([
+                [U_s, np.zeros((S, nd, d.d_x))],
+                [-Lg @ _kron_stack(team.alpha[None, :] / team.n, C),
+                 np.eye(d.d_x) - Lg @ (C + model.C_bar[:S])],
+            ])
+            U_y = np.block([[U_y @ proj_y], [Lg @ G_y]])
+            T_s = np.block([
+                [T_s, np.zeros((S, nd, d.d_x))],
+                [np.zeros((S, d.d_x, nd)), A + model.A_bar[:S]],
+            ])
+            T_u = np.block([[T_u @ proj_u], [(B + model.B_bar[:S]) @ G_u]])
+            c = e = np.zeros((S, s0.shape[0]))
+            a = np.zeros((S, nu))
 
-
-def _zero_policy(model: TeamModel, team: _Team) -> tuple[np.ndarray, _StageMaps]:
-    d = model.dims
-    S = d.T - 1
-    nu, ny = team.size * d.d_u, team.size * d.d_y
-    return np.zeros(0), _StageMaps(
-        K_s=np.zeros((S, nu, 0)),
-        K_y=np.zeros((S, nu, ny)),
-        k=np.zeros((S, nu)),
-        F_s=np.zeros((S, 0, 0)),
-        F_y=np.zeros((S, 0, ny)),
-        F_u=np.zeros((S, 0, nu)),
-        f=np.zeros((S, 0)),
+    A, B, C, S_obs = system.A[:S], system.B[:S], system.C[:S], system.S[:S]
+    K_s = W @ U_s
+    K_y = W @ U_y + D_y
+    k = _matvec(W, c) + a
+    K_v = K_y @ S_obs
+    sig_y = T_s @ U_y + T_u @ K_y
+    N = system.mu.shape[0]
+    P0 = np.zeros((N + s0.shape[0],) * 2)
+    P0[:N, :N] = system.Sigma_x
+    return _ClosedLoop(
+        system=system,
+        m0=np.concatenate([system.mu, s0]),
+        P0=P0,
+        K=np.block([K_y @ C, K_s]),
+        K_v=K_v,
+        k=k,
+        F=np.block([
+            [A + B @ K_y @ C, B @ K_s],
+            [sig_y @ C, T_s @ U_s + T_u @ K_s],
+        ]),
+        G_w=system.E[:S],
+        G_v=np.block([[B @ K_v], [sig_y @ S_obs]]),
+        f=np.block([_matvec(B, k), _matvec(T_s, c) + e + _matvec(T_u, k)]),
     )
 
 
@@ -376,52 +364,34 @@ def exact_cost(model: TeamModel, kind: StrategyKind) -> float:
     The strategy is costed as ``kind.prepare(model)`` defines it.  The team
     is split into an orthonormal basis of span{1, alpha} and its orthogonal
     complement (see ``_Team.reduced``), so the closed loop runs on at most
-    three virtual agents whatever n is.  The augmented state is
-    zeta = [their states; estimator internals], and u = K zeta + K_v v + k.
-    The closed loop zeta' = F zeta + G_w w + G_v v + f is built for every
-    stage at once; then the mean and covariance of zeta are pushed through
-    it stage by stage.  Quadratic costs are traces against those moments,
-    with the complement agent's blocks weighted by the number of real
-    agents it stands for, so no sampling is involved anywhere.
+    three virtual agents whatever n is.  ``_closed_loop`` builds it for
+    every stage at once; then the mean and covariance of zeta are pushed
+    through it stage by stage.  Quadratic costs are traces against those
+    moments, with the complement agent's blocks weighted by the number of
+    real agents it stands for, so no sampling is involved anywhere.
     """
-    team = _Team.reduced(model)
-    system = _assemble(model, team)
-    s0, maps = _policy_maps(model, kind.prepare(model), team)
-    T = model.T
-    S = T - 1
+    loop = _closed_loop(model, kind.prepare(model), _Team.reduced(model))
+    system = loop.system
+    S = model.T - 1
     N = system.mu.shape[0]
-    A, B, C, S_obs = system.A[:S], system.B[:S], system.C[:S], system.S[:S]
-    E, Sigma_v = system.E[:S], system.Sigma_v[:S]
+    Sigma_v = system.Sigma_v[:S]
+    noise_u = loop.K_v @ Sigma_v @ loop.K_v.transpose(0, 2, 1)
+    noise = loop.G_v @ Sigma_v @ loop.G_v.transpose(0, 2, 1)
+    noise[:, :N, :N] += loop.G_w @ system.Sigma_w[:S] @ loop.G_w.transpose(0, 2, 1)
 
-    K = np.block([maps.K_y @ C, maps.K_s])
-    K_v = maps.K_y @ S_obs
-    noise_u = K_v @ Sigma_v @ K_v.transpose(0, 2, 1)
-    sig_y = maps.F_y + maps.F_u @ maps.K_y
-    F = np.block([
-        [A + B @ maps.K_y @ C, B @ maps.K_s],
-        [sig_y @ C, maps.F_s + maps.F_u @ maps.K_s],
-    ])
-    G_v = np.block([[B @ K_v], [sig_y @ S_obs]])
-    noise = G_v @ Sigma_v @ G_v.transpose(0, 2, 1)
-    noise[:, :N, :N] += E @ system.Sigma_w[:S] @ E.transpose(0, 2, 1)
-    f = np.block([_matvec(B, maps.k), maps.f + _matvec(maps.F_u, maps.k)])
-
-    nz = N + s0.shape[0]
-    m = np.concatenate([system.mu, s0])
-    P = np.zeros((nz, nz))
-    P[:N, :N] = system.Sigma_x
+    m, P = loop.m0, loop.P0
     total = 0.0
-    for t in range(T):
+    for t in range(model.T):
         x = m[:N]
         total += float(np.sum(system.Qx[t] * P[:N, :N]) + x @ system.Qx[t] @ x)
         if t == S:
             break
-        u = K[t] @ m + maps.k[t]
-        Puu = K[t] @ P @ K[t].T + noise_u[t]
+        u = loop.K[t] @ m + loop.k[t]
+        Puu = loop.K[t] @ P @ loop.K[t].T + noise_u[t]
         total += float(np.sum(system.Ru[t] * Puu) + u @ system.Ru[t] @ u)
-        P = F[t] @ P @ F[t].T + noise[t]
+        P = loop.F[t] @ P @ loop.F[t].T + noise[t]
         P = 0.5 * (P + P.T)
-        m = F[t] @ m + f[t]
+        m = loop.F[t] @ m + loop.f[t]
     return total
 
 

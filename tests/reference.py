@@ -6,7 +6,6 @@ independent implementation to agree with.
 """
 
 from dataclasses import fields
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -168,62 +167,43 @@ def dense_joint_model(model):
 
 
 def joint_exact_cost(model, kind):
-    """Exact expected cost by moment propagation on the full joint system.
+    """Exact expected cost by raw second moments on the full joint system.
 
     The augmented state is [all n * d_x joint states; estimator internals of
-    every agent], with the stage maps built for the whole team, so this
-    cross-checks the reduced team the package propagates.
+    every agent], with the oracle's closed loop built for the whole team.
+    The moments are pushed through it as E[z] and E[z z^T] rather than as a
+    mean and a covariance, so this cross-checks both the reduced team and
+    the moment pass the package propagates.
     """
-    from teamlqg.oracle import _policy_maps
+    from teamlqg.oracle import _closed_loop
 
-    d = model.dims
-    N = d.n * d.d_x
-    joint = dense_joint_model(model)
-    s0, maps = _policy_maps(model, kind.prepare(model), _all_agents(model))
-    ds = s0.shape[0]
-    nz = N + ds
-
-    m = np.concatenate([joint.mu, s0])
-    M = np.zeros((nz, nz))
-    M[:N, :N] = joint.Sigma_x
-    M += np.outer(m, m)
+    loop = _closed_loop(model, kind.prepare(model), _all_agents(model))
+    joint = loop.system
+    N = joint.mu.shape[0]
+    m = loop.m0
+    M = loop.P0 + np.outer(m, m)
 
     total = 0.0
-    for t in range(d.T):
+    for t in range(model.T):
         total += float(np.sum(joint.Qx[t] * M[:N, :N]))
-        if t >= d.T - 1:
+        if t >= model.T - 1:
             break
-        st = SimpleNamespace(**{key: value[t] for key, value in vars(maps).items()})
-        # u = K_zeta zeta + K_v v + k
-        K_zeta = np.hstack([st.K_y @ joint.C[t], st.K_s])
-        K_v = st.K_y @ joint.S[t]
-        Euu = (K_zeta @ M @ K_zeta.T
+        # u = K zeta + K_v v + k
+        K, K_v, k = loop.K[t], loop.K_v[t], loop.k[t]
+        Euu = (K @ M @ K.T
                + K_v @ joint.Sigma_v[t] @ K_v.T
-               + K_zeta @ np.outer(m, st.k)
-               + np.outer(st.k, m) @ K_zeta.T
-               + np.outer(st.k, st.k))
+               + K @ np.outer(m, k)
+               + np.outer(k, m) @ K.T
+               + np.outer(k, k))
         total += float(np.sum(joint.Ru[t] * Euu))
 
-        # closed-loop transition of zeta = [x; s]
-        F = np.zeros((nz, nz))
-        F[:N, :N] = joint.A[t] + joint.B[t] @ st.K_y @ joint.C[t]
-        F[:N, N:] = joint.B[t] @ st.K_s
-        F[N:, :N] = (st.F_y + st.F_u @ st.K_y) @ joint.C[t]
-        F[N:, N:] = st.F_s + st.F_u @ st.K_s
-        G_w = np.zeros((nz, joint.Sigma_w[t].shape[0]))
-        G_w[:N, :] = joint.E[t]
-        G_v = np.zeros((nz, joint.Sigma_v[t].shape[0]))
-        G_v[:N, :] = joint.B[t] @ K_v
-        G_v[N:, :] = (st.F_y + st.F_u @ st.K_y) @ joint.S[t]
-        f = np.zeros(nz)
-        f[:N] = joint.B[t] @ st.k
-        f[N:] = st.f + st.F_u @ st.k
-
+        # zeta' = F zeta + G_w w + G_v v + f, with w driving the states only
+        F, G_w, G_v, f = loop.F[t], loop.G_w[t], loop.G_v[t], loop.f[t]
         m_next = F @ m + f
         M = (F @ M @ F.T
-             + G_w @ joint.Sigma_w[t] @ G_w.T
              + G_v @ joint.Sigma_v[t] @ G_v.T
              + F @ np.outer(m, f) + np.outer(f, m) @ F.T + np.outer(f, f))
+        M[:N, :N] += G_w @ joint.Sigma_w[t] @ G_w.T
         M = 0.5 * (M + M.T)
         m = m_next
     return total

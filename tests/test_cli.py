@@ -269,6 +269,9 @@ def test_verify_usage_errors_come_before_the_suite(model_file, tmp_path,
     ("verify", ["--rollouts", "0"]),
     ("verify", ["--models", "-3"]),
     ("convergence", ["--rollouts", "0"]),
+    ("simulate", ["--model", "MODEL", "--workers", "0"]),
+    ("verify", ["--workers", "0"]),
+    ("convergence", ["--workers", "-2"]),
 ])
 def test_bad_counts_are_usage_errors_before_any_work(model_file, tmp_path,
                                                      monkeypatch, capsys,
@@ -281,7 +284,8 @@ def test_bad_counts_are_usage_errors_before_any_work(model_file, tmp_path,
         monkeypatch.setattr(f"teamlqg.cli.{name}", work)
     out = tmp_path / "out"
     args = [model_file if a == "MODEL" else a for a in flags]
-    assert main([command, *args, "--workers", "1", "--out", str(out)]) == 64
+    # the case's flags come last, so a case's --workers overrides the default
+    assert main([command, "--workers", "1", "--out", str(out), *args]) == 64
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
 
@@ -367,6 +371,29 @@ def test_convergence_summary_holds_the_exact_scaling(tmp_path):
     scaled = [row["n_exact_gap"] for row in summary["rows"]]
     assert scaled == [row["n"] * row["exact_gap"] for row in summary["rows"]]
     np.testing.assert_allclose(scaled, scaled[0], rtol=1e-11)
+
+
+def test_convergence_writes_a_slope_it_cannot_fit_as_null(tmp_path, capsys):
+    """With no coupling and a zero mean the mean-field rule is optimal, so
+    every gap is 0 and has no log-log slope: the summary holds null, strict
+    JSON, and the printout says undefined."""
+    path = tmp_path / "model.json"
+    save_model(make_model(T=3, n=2, A=1, B=1, C=1, Q=1, R=1, Sigma_x=1,
+                          Sigma_w=1, Sigma_v=1), path)
+    out = tmp_path / "conv"
+    assert main(["convergence", "--model", str(path), "--n-list", "2,8",
+                 "--rollouts", "50", "--seed", "1", "--workers", "1",
+                 "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    text = (out / "convergence_summary.json").read_text()
+    summary = json.loads(text, parse_constant=reject)
+    assert summary["slope_exact_gap"] is None
+    assert summary["slope_gap"] is None
+    assert summary["slope_sigma"] == pytest.approx(-1.0, abs=1e-6)
+    assert "gap undefined" in capsys.readouterr().out
 
 
 def test_verify_reports_a_nan_deviation_as_failure(tmp_path, monkeypatch):
