@@ -5,7 +5,8 @@ runs on the local matrices (A, B, Q, R); the aggregate chain runs on the
 coupled sums (A + A_bar, B + B_bar, Q + Q_bar, R + R_bar).  Neither depends
 on the population size or the influence vector, so one pass serves every
 agent and every team size.  The chains run as one pass over a leading
-chain axis; a failing stage names its first failing chain, deviation first.
+chain axis, each stage checked for all chains by one factorization; a
+failing stage names its first failing chain, deviation first.
 """
 
 from __future__ import annotations
@@ -33,6 +34,21 @@ class RiccatiPass:
     gain_agg: np.ndarray
 
 
+def _raise_first_failure(labels, inner, rhs, t: int) -> None:
+    """Check a stage chain by chain, deviation first, and raise for the
+    first chain whose inner matrix is not positive definite or whose pass
+    is not finite."""
+    for label, chain_inner, chain_rhs in zip(labels, inner, rhs):
+        try:
+            np.linalg.cholesky(chain_inner)
+        except np.linalg.LinAlgError as exc:
+            raise RiccatiError(
+                f"{label} Riccati inner matrix not positive definite", t + 1
+            ) from exc
+        if not (np.isfinite(chain_inner).all() and np.isfinite(chain_rhs).all()):
+            raise RiccatiError(f"{label} Riccati pass is not finite", t + 1)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _backward_chain(A, B, Q, R, labels) -> tuple[np.ndarray, np.ndarray]:
     """Value matrices and gains of the chains stacked on the leading axis of
@@ -47,15 +63,13 @@ def _backward_chain(A, B, Q, R, labels) -> tuple[np.ndarray, np.ndarray]:
         inner = B[:, t].swapaxes(-1, -2) @ nxt @ B[:, t] + R[:, t]
         inner = 0.5 * (inner + inner.swapaxes(-1, -2))
         rhs = B[:, t].swapaxes(-1, -2) @ nxt @ A[:, t]
-        for label, chain_inner, chain_rhs in zip(labels, inner, rhs):
-            try:
-                np.linalg.cholesky(chain_inner)
-            except np.linalg.LinAlgError as exc:
-                raise RiccatiError(
-                    f"{label} Riccati inner matrix not positive definite", t + 1
-                ) from exc
-            if not (np.isfinite(chain_inner).all() and np.isfinite(chain_rhs).all()):
-                raise RiccatiError(f"{label} Riccati pass is not finite", t + 1)
+        try:
+            np.linalg.cholesky(inner)
+            passed = np.isfinite(inner).all() and np.isfinite(rhs).all()
+        except np.linalg.LinAlgError:
+            passed = False
+        if not passed:
+            _raise_first_failure(labels, inner, rhs, t)
         gain[:, t] = -np.linalg.solve(inner, rhs)
         closed = A[:, t] + B[:, t] @ gain[:, t]
         P[:, t] = Q[:, t] + A[:, t].swapaxes(-1, -2) @ nxt @ closed

@@ -20,17 +20,23 @@ rollout rounds independently of its batch, the chunk size changes no output
 bit.  With more than one worker a chunk is also at most
 ``ceil(rollouts / workers)``, so every worker gets a share.  Chunks go to one
 process pool per worker count, created on first use and kept for the life of
-the process; with one worker they run inline.
+the process; with one worker they run inline.  The pool's workers fork after
+``numpy.random`` is loaded, so they share the parent's copy of it; neither it
+nor the pool machinery is imported until a pool is built.  A run's chunks
+are all queued before its caller waits for the first, and a caller with
+several runs queues them all (``_submit_prepared``) and then reads each
+(``_gather_prepared``), so the workers are not left idle between runs.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import functools
+import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -344,29 +350,69 @@ def _chunked(total: int, chunk: int) -> list[tuple[int, int]]:
 
 
 @functools.cache
-def _pool(workers: int) -> ProcessPoolExecutor:
+def _pool(workers: int):
     """The process pool of ``workers`` workers, shared by every caller.
 
-    Jobs sent to it run at one worker, so a worker never uses the copy of
-    this cache it inherits from the parent.
+    ``numpy.random`` is imported first, so that the workers, forked on the
+    pool's first job, share the parent's loaded module rather than each
+    importing it for its first noise bank.  No draw uses numpy's global
+    generator, so the shared module changes no draw.  Jobs sent to the pool
+    run at one worker, so a worker never uses the copy of this cache it
+    inherits from the parent.
     """
+    import numpy.random  # noqa: F401  (loaded before the workers fork)
+    from concurrent.futures import ProcessPoolExecutor
+
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def _pool_map(fn, jobs, workers: int) -> list:
-    """``fn`` over ``jobs`` in order: inline at one worker, else on the
-    shared pool, each job submitted as ``jobs`` yields it.
+# The pools are dropped at exit, once their workers have been joined and
+# while the pool machinery they call back into is still whole.
+atexit.register(_pool.cache_clear)
 
-    A worker that dies breaks its pool for good, so a broken pool is
-    dropped and the next call starts a new one.
+
+def _run_each(fn, jobs: list) -> list:
+    """``fn`` over one message's jobs, in a worker."""
+    return [fn(job) for job in jobs]
+
+
+def _pool_map(fn, jobs, workers: int, batch: int = 1) -> Iterator:
+    """``fn`` over ``jobs``, as an iterator of the results in order.
+
+    At one worker each job runs inline when its result is read.  Otherwise
+    every job is sent to the shared pool, ``batch`` jobs per message, before
+    this returns, and reading a result waits for it.  When reading raises,
+    or the iterator is closed, the jobs no worker has started are cancelled.
+    A worker that dies breaks its pool for good, so a broken pool is dropped
+    and the next call starts a new one.
     """
     if workers <= 1:
-        return [fn(job) for job in jobs]
+        return (fn(job) for job in jobs)
+    results = _pooled(fn, jobs, workers, batch)
+    next(results)       # sends every job; from here closing cancels them
+    return results
+
+
+def _pooled(fn, jobs, workers: int, batch: int):
+    """``_pool_map``'s pooled form: sends every job on its first step, then
+    yields the results in order and cancels what is left when it stops."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    futures = []
     try:
-        return list(_pool(workers).map(fn, jobs))
+        pool = _pool(workers)
+        jobs = iter(jobs)
+        while part := list(itertools.islice(jobs, batch)):
+            futures.append(pool.submit(_run_each, fn, part))
+        yield
+        for future in futures:
+            yield from future.result()
     except BrokenProcessPool:
         _pool.cache_clear()
         raise
+    finally:
+        for future in futures:
+            future.cancel()
 
 
 def _run_strategies(model: TeamModel, kinds: tuple[StrategyKind, ...],
@@ -387,6 +433,15 @@ def _run_prepared(model: TeamModel, preps: list[Prepared], seed: int,
                   n_rollouts: int, chunk: Optional[int], workers: int,
                   keep_traces: int = 0) -> list[RolloutBatch]:
     """``_run_strategies`` on strategies already prepared for ``model``."""
+    return _gather_prepared(_submit_prepared(model, preps, seed, n_rollouts,
+                                             chunk, workers, keep_traces))
+
+
+def _submit_prepared(model: TeamModel, preps: list[Prepared], seed: int,
+                     n_rollouts: int, chunk: Optional[int], workers: int,
+                     keep_traces: int = 0) -> Iterator:
+    """Send out the chunks of ``_run_prepared``; ``_gather_prepared`` reads
+    them.  Closing the returned iterator cancels the chunks not started."""
     if n_rollouts <= 0:
         raise ValueError("n_rollouts must be positive")
     if chunk is None:
@@ -394,8 +449,13 @@ def _run_prepared(model: TeamModel, preps: list[Prepared], seed: int,
                     math.ceil(n_rollouts / max(workers, 1)))
     jobs = [(model, preps, seed, lo, hi, max(0, min(keep_traces - lo, hi - lo)))
             for lo, hi in _chunked(n_rollouts, chunk)]
-    parts = _pool_map(_chunk_job, jobs, workers if len(jobs) > 1 else 1)
-    return [_merge([part[i] for part in parts]) for i in range(len(preps))]
+    return _pool_map(_chunk_job, jobs, workers if len(jobs) > 1 else 1)
+
+
+def _gather_prepared(parts: Iterator) -> list[RolloutBatch]:
+    """One merged batch per strategy from the chunks ``_submit_prepared``
+    sent out, waiting for each in turn."""
+    return [_merge(list(batches)) for batches in zip(*parts)]
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -501,21 +561,29 @@ def convergence_experiment(model: TeamModel, n_list: tuple[int, ...],
     from .oracle import exact_cost
 
     rows = []
-    for n in n_list:
-        sized = resize_team(model, n)
-        preps = [_prepare(sized, MeanField()), _prepare(sized, Optimal())]
-        meanfield, optimal = _run_prepared(sized, preps, seed, rollouts, None,
-                                           workers)
-        gap, se = _mean_se(meanfield.costs - optimal.costs)
-        exact_gap = exact_cost(sized, MeanField()) - exact_cost(sized, Optimal())
-        rows.append(ConvergenceRow(
-            n=n,
-            max_sigma_bar=float(np.abs(preps[1].glob.Sigma_post).max()),
-            ms_correction=float(optimal.ms_correction.mean()),
-            cost_gap=gap,
-            gap_se=se,
-            exact_gap=exact_gap,
-        ))
+    # every size's chunks are queued first, so the workers step while this
+    # process computes each exact gap; an error cancels what is still queued
+    with contextlib.ExitStack() as queued:
+        runs = []
+        for n in n_list:
+            sized = resize_team(model, n)
+            preps = [_prepare(sized, MeanField()), _prepare(sized, Optimal())]
+            runs.append((sized, preps, queued.enter_context(contextlib.closing(
+                _submit_prepared(sized, preps, seed, rollouts, None,
+                                 workers)))))
+        for sized, preps, parts in runs:
+            exact_gap = (exact_cost(sized, MeanField())
+                         - exact_cost(sized, Optimal()))
+            meanfield, optimal = _gather_prepared(parts)
+            gap, se = _mean_se(meanfield.costs - optimal.costs)
+            rows.append(ConvergenceRow(
+                n=sized.n,
+                max_sigma_bar=float(np.abs(preps[1].glob.Sigma_post).max()),
+                ms_correction=float(optimal.ms_correction.mean()),
+                cost_gap=gap,
+                gap_se=se,
+                exact_gap=exact_gap,
+            ))
     ns = np.array([row.n for row in rows], dtype=float)
     return ConvergenceResult(
         rows=tuple(rows),

@@ -10,14 +10,16 @@ Monte Carlo section then checks sampled costs against the exact oracle on
 the two built-in scalar reference models.
 
 With more than one worker, each model is checked in the simulator's process
-pool as soon as it is drawn; models are drawn in the same order either way,
-and the reported maxima are exact, so they do not depend on the worker
-count.  A NaN deviation anywhere makes its maximum NaN and the report not
-ok.
+pool as soon as it is drawn, ``CHECK_BATCH`` models to a message, and the
+Monte Carlo section's chunks are queued behind the checks before the suite
+waits for any result.  Models are drawn in the same order either way, and
+the reported maxima are exact, so they do not depend on the worker count.
+A NaN deviation anywhere makes its maximum NaN and the report not ok.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -26,13 +28,15 @@ from .filters import team_error_covariance
 from .model import TeamModel, make_model
 from .oracle import _Team, centralized_estimates, exact_cost
 from .random_models import random_team
-from .sim import _mean_se, _pool_map, _prepare, _run_prepared, _run_strategies
+from .sim import (_gather_prepared, _mean_se, _pool_map, _prepare,
+                  _run_prepared, _submit_prepared)
 from .strategy import CustomLinear, Optimal, StrategyKind, ZeroAction
 
 ESTIMATE_TOL = 1e-9
 COVARIANCE_TOL = 1e-9
 RESIDUAL_TOL = 1e-9
 MC_SIGMA = 5.0
+CHECK_BATCH = 4     # model checks per message to a pool worker
 
 
 @dataclass(frozen=True)
@@ -137,29 +141,40 @@ def run_verification_suite(n_models: int = 100, seed: int = 0,
                            workers: int = 1) -> VerificationReport:
     """Draw random models, check them against the oracle, sample costs."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
-    # np.maximum, unlike max(), carries a NaN deviation into the report
-    worst = np.zeros(3)
-    for devs in _pool_map(_check_job, _drawn(rng, n_models, seed), workers):
-        worst = np.maximum(worst, devs)
-    est_dev, cov_dev, resid = map(float, worst)
-
-    checks = []
     uncoupled, coupled = reference_models()
     kinds = (("zero", ZeroAction()), ("optimal", Optimal()))
-    for label, model in (("uncoupled-pair", uncoupled), ("coupled-pair", coupled)):
-        batches = _run_strategies(model, tuple(kind for _, kind in kinds),
-                                  seed, mc_rollouts, None, workers)
-        for (kind_label, kind), batch in zip(kinds, batches):
-            mean, stderr = _mean_se(batch.costs)
-            target = exact_cost(model, kind)
-            checks.append(McCheck(
-                label=f"{label}/{kind_label}",
-                sampled=mean,
-                exact=target,
-                stderr=stderr,
-                ok=bool(abs(mean - target) <= MC_SIGMA * stderr),
-            ))
-            resid = float(np.maximum(resid, batch.residual_max))
+    # everything is queued before the first wait; an error cancels the rest
+    with contextlib.ExitStack() as queued:
+        checked = queued.enter_context(contextlib.closing(_pool_map(
+            _check_job, _drawn(rng, n_models, seed), workers, CHECK_BATCH)))
+        sampled = [
+            (label, model, queued.enter_context(contextlib.closing(
+                _submit_prepared(model, [_prepare(model, kind)
+                                         for _, kind in kinds],
+                                 seed, mc_rollouts, None, workers))))
+            for label, model in (("uncoupled-pair", uncoupled),
+                                 ("coupled-pair", coupled))]
+
+        # np.maximum, unlike max(), carries a NaN deviation into the report
+        worst = np.zeros(3)
+        for devs in checked:
+            worst = np.maximum(worst, devs)
+        est_dev, cov_dev, resid = map(float, worst)
+
+        checks = []
+        for label, model, parts in sampled:
+            for (kind_label, kind), batch in zip(kinds,
+                                                 _gather_prepared(parts)):
+                mean, stderr = _mean_se(batch.costs)
+                target = exact_cost(model, kind)
+                checks.append(McCheck(
+                    label=f"{label}/{kind_label}",
+                    sampled=mean,
+                    exact=target,
+                    stderr=stderr,
+                    ok=bool(abs(mean - target) <= MC_SIGMA * stderr),
+                ))
+                resid = float(np.maximum(resid, batch.residual_max))
 
     ok = (est_dev <= ESTIMATE_TOL and cov_dev <= COVARIANCE_TOL
           and resid <= RESIDUAL_TOL and all(c.ok for c in checks))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -427,12 +428,65 @@ def test_convergence_rejects_nonuniform_model(tmp_path):
                  "--out", str(tmp_path / "conv")]) == 1
 
 
-def test_module_entry_point_reports_version():
-    # the child finds the package where this process found it, installed or not
+def _child_env() -> dict:
+    """The environment of a child Python that finds the package where this
+    process found it, installed or not."""
     src = str(Path(teamlqg.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def test_module_entry_point_reports_version():
     proc = subprocess.run([sys.executable, "-m", "teamlqg.cli", "--version"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_importing_the_package_loads_no_pool_or_random_module():
+    """A run at one worker never pays for the pool machinery or for
+    ``numpy.random`` at import; the pool loads them when it is built."""
+    code = ("import sys, teamlqg; print([m for m in ('concurrent.futures."
+            "process', 'numpy.random') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_pool_workers_start_with_numpy_random_loaded():
+    """The workers fork after the pool loads ``numpy.random``, so they share
+    the parent's copy instead of importing it for their first noise bank."""
+    code = ("import sys\n"
+            "from teamlqg import sim\n"
+            "def loaded(name):\n"
+            "    return name in sys.modules\n"
+            "print(list(sim._pool_map(loaded, ['numpy.random', 'secrets'], 2)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[True, True]"
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--models", "3", "--rollouts", "50"],
+    ["convergence", "--n-list", "4,16", "--rollouts", "64"],
+])
+def test_pooled_runs_leave_no_process_behind(tmp_path, args):
+    """Work queued ahead of its gather still ends with the run: once the
+    command exits 0, no process of its session is alive."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "teamlqg.cli", *args, "--workers", "2",
+         "--out", str(tmp_path / "out")],
+        env=_child_env(), start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass

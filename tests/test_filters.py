@@ -286,3 +286,29 @@ def test_readme_filter_stepping_example():
     np.testing.assert_allclose(names["u"][0].T, trace.u[0], rtol=1e-12, atol=1e-12)
     stage1 = combined_agent_estimate(names["delta"][0].T, names["agg"][0], model.alpha)
     np.testing.assert_allclose(stage1, trace.combined_xhat[1], rtol=1e-12, atol=1e-12)
+
+
+def test_schedule_checks_factor_each_stage_once(monkeypatch):
+    """When every check passes, a stage of the Riccati pass runs one
+    Cholesky factorization and a stage of the filter pass one eigvalsh,
+    each over both chains together."""
+    from teamlqg.riccati import solve_riccati
+
+    calls = []
+    for name in ("cholesky", "eigvalsh"):
+        def counted(a, *args, _name=name, _call=getattr(np.linalg, name),
+                    **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _call(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(8)
+    for _ in range(8):
+        model = random_team(rng)
+        d = model.dims
+        calls.clear()
+        solve_riccati(model)
+        assert calls == [("cholesky", (2, d.d_u, d.d_u))] * (d.T - 1)
+        calls.clear()
+        precompute_filters(model)
+        assert calls == [("eigvalsh", (2, d.d_y, d.d_y))] * d.T

@@ -291,11 +291,59 @@ def test_a_lost_worker_fails_only_the_calls_of_its_pool(model_s2):
     np.testing.assert_array_equal(pooled.costs, inline.costs)
 
 
-def test_pooled_verification_suite_matches_inline():
-    inline = run_verification_suite(n_models=6, seed=3, mc_rollouts=300)
-    pooled = run_verification_suite(n_models=6, seed=3, mc_rollouts=300,
+@pytest.mark.parametrize("n_models", [6, 9])
+def test_pooled_verification_suite_matches_inline(n_models):
+    """Both counts leave a last message short of ``CHECK_BATCH`` models."""
+    assert n_models % verify.CHECK_BATCH
+    inline = run_verification_suite(n_models=n_models, seed=3, mc_rollouts=300)
+    pooled = run_verification_suite(n_models=n_models, seed=3, mc_rollouts=300,
                                     workers=2)
     assert pooled.to_json_dict() == inline.to_json_dict()
+
+
+def test_pooled_convergence_rows_match_inline():
+    """Every size's chunks queued at once give the rows of the inline sweep,
+    bit for bit, cache-sized chunks at n = 1024 included."""
+    model = benchmark_convergence_model()
+    inline = convergence_experiment(model, (4, 64, 1024), rollouts=64, seed=7)
+    pooled = convergence_experiment(model, (4, 64, 1024), rollouts=64, seed=7,
+                                    workers=2)
+    assert pooled.rows == inline.rows
+    # NaN-aware: a slope that cannot be fit is NaN in both
+    np.testing.assert_array_equal(
+        [getattr(pooled, f.name) for f in fields(pooled) if f.name != "rows"],
+        [getattr(inline, f.name) for f in fields(inline) if f.name != "rows"])
+
+
+def _marked_job(job):
+    """Job 0 raises; every other job waits a little, then leaves a marker
+    file.  Module level, so the pool's workers can run it."""
+    directory, index = job
+    if index == 0:
+        raise ValueError("job 0 fails")
+    time.sleep(0.1)
+    (directory / str(index)).touch()
+    return index
+
+
+def test_a_failing_pooled_job_cancels_the_jobs_not_started(tmp_path):
+    jobs = [(tmp_path, index) for index in range(40)]
+    pool = sim._pool(2)
+    results = sim._pool_map(_marked_job, jobs, 2)
+    with pytest.raises(ValueError, match="job 0 fails"):
+        next(results)
+    # the next call runs on the same pool, queued behind any job still running
+    assert list(sim._pool_map(abs, [-1, -2, -3], 2, batch=2)) == [1, 2, 3]
+    assert sim._pool(2) is pool
+    assert len(list(tmp_path.iterdir())) < 20
+
+
+def test_closing_an_unread_pooled_map_cancels_its_jobs(tmp_path):
+    results = sim._pool_map(_marked_job, [(tmp_path, i) for i in range(1, 40)],
+                            2)
+    results.close()
+    assert list(sim._pool_map(abs, [-4, -5], 2)) == [4, 5]
+    assert len(list(tmp_path.iterdir())) < 20
 
 
 def _nan_on_seed_4(position, job):
