@@ -17,13 +17,15 @@ code; ``centralized_filter`` shares only the gain check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .filters import _checked_gain
 from .model import TeamModel
-from .strategy import CustomLinear, Prepared, StrategyKind, ZeroAction
+from .strategy import (CustomLinear, Prepared, StrategyKind, ZeroAction,
+                       _coefficient_shapes)
 
 
 @dataclass(frozen=True)
@@ -407,17 +409,11 @@ def pack_coefficients(kind: CustomLinear) -> np.ndarray:
 
 
 def unpack_coefficients(vec: np.ndarray, model: TeamModel) -> CustomLinear:
-    d = model.dims
-    stages = max(d.T - 1, 0)
-    sizes = [stages * d.d_u * d.d_x, stages * d.d_u * d.d_x,
-             stages * d.d_u * d.d_y, stages * d.d_u * d.d_y]
-    parts = np.split(np.asarray(vec, dtype=float), np.cumsum(sizes)[:-1])
-    return CustomLinear(
-        theta=parts[0].reshape(stages, d.d_u, d.d_x),
-        phi=parts[1].reshape(stages, d.d_u, d.d_x),
-        psi=parts[2].reshape(stages, d.d_u, d.d_y),
-        omega=parts[3].reshape(stages, d.d_u, d.d_y),
-    )
+    shapes = _coefficient_shapes(model.dims)
+    parts = np.split(np.asarray(vec, dtype=float),
+                     np.cumsum(list(map(math.prod, shapes.values())))[:-1])
+    return CustomLinear(**{key: part.reshape(shape) for (key, shape), part
+                           in zip(shapes.items(), parts)})
 
 
 def fd_gradient(fun, p: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -452,9 +448,7 @@ def brute_force_optimize(
     # scipy.optimize is slow to import and only this search uses it
     from scipy.optimize import minimize
 
-    d = model.dims
-    stages = max(d.T - 1, 0)
-    dim = 2 * stages * d.d_u * (d.d_x + d.d_y)
+    dim = sum(map(math.prod, _coefficient_shapes(model.dims).values()))
     fun = lambda v: exact_cost(model, unpack_coefficients(v, model))
     if dim == 0:
         cost = exact_cost(model, ZeroAction())

@@ -13,19 +13,22 @@ estimates and noise are (B, d, n) arrays, so every stage matrix applies as
 one stacked ``M @ x`` and agents are the contiguous axis.  Recorded traces
 are transposed once to the (T, n, d) layout of ``Trace``.
 
-Rollouts run in chunks of at most ``_default_chunk`` rollouts, whose noise
-bank fits ``BANK_BUDGET`` and each of whose (B, d, n) stepping arrays fits
-``STEP_BUDGET``, so at large n a chunk is stepped in cache; since each
-rollout rounds independently of its batch, the chunk size changes no output
-bit.  With more than one worker a chunk is also at most
-``ceil(rollouts / workers)``, so every worker gets a share.  Chunks go to one
-process pool per worker count, created on first use and kept for the life of
-the process; with one worker they run inline.  The pool's workers fork after
+Every run takes one path: each strategy is prepared once (``_prepare``),
+the run's chunks are queued (``_submit_prepared``), and their results are
+read back and merged per strategy (``_gather_prepared``).  The chunk size is
+not an option.  A chunk holds at most ``_default_chunk`` rollouts, whose
+noise bank fits ``BANK_BUDGET`` and each of whose (B, d, n) stepping arrays
+fits ``STEP_BUDGET``, so at large n a chunk is stepped in cache; with more
+than one worker it is also at most ``ceil(rollouts / workers)``, so every
+worker gets a share.  Since each rollout rounds independently of its batch,
+the chunk size changes no output bit.  Chunks go to one process pool per
+worker count, created on first use and kept for the life of the process;
+with one worker they run inline.  The pool's workers fork after
 ``numpy.random`` is loaded, so they share the parent's copy of it; neither it
 nor the pool machinery is imported until a pool is built.  A run's chunks
 are all queued before its caller waits for the first, and a caller with
-several runs queues them all (``_submit_prepared``) and then reads each
-(``_gather_prepared``), so the workers are not left idle between runs.
+several runs queues them all and then reads each, so the workers are not
+left idle between runs.
 """
 
 from __future__ import annotations
@@ -216,8 +219,7 @@ def _run_batch(model: TeamModel, prep: Prepared, bank: dict,
     stage_costs = np.zeros((B, T))
     ms_correction = np.zeros(B)
     residual_max = 0.0
-    hist: dict[str, list] = {key: [] for key in
-                             ("x", "u", "y", "delta", "agg", "cost")}
+    hist: dict[str, list] = {key: [] for key in ("x", "u", "y", "delta", "agg")}
 
     for t in range(T):
         v = bank["v"][t]
@@ -415,38 +417,18 @@ def _pooled(fn, jobs, workers: int, batch: int):
             future.cancel()
 
 
-def _run_strategies(model: TeamModel, kinds: tuple[StrategyKind, ...],
-                    seed: int, n_rollouts: int, chunk: Optional[int],
-                    workers: int, keep_traces: int = 0) -> list[RolloutBatch]:
-    """Run every strategy on the same rollouts, one batch per strategy.
-
-    Each strategy is prepared once; each chunk draws its noise once and
-    steps every strategy through it.  ``chunk`` None sizes chunks by
-    ``_default_chunk``, and splits them across ``workers``.
-    """
-    preps = [_prepare(model, kind) for kind in kinds]
-    return _run_prepared(model, preps, seed, n_rollouts, chunk, workers,
-                         keep_traces)
-
-
-def _run_prepared(model: TeamModel, preps: list[Prepared], seed: int,
-                  n_rollouts: int, chunk: Optional[int], workers: int,
-                  keep_traces: int = 0) -> list[RolloutBatch]:
-    """``_run_strategies`` on strategies already prepared for ``model``."""
-    return _gather_prepared(_submit_prepared(model, preps, seed, n_rollouts,
-                                             chunk, workers, keep_traces))
-
-
 def _submit_prepared(model: TeamModel, preps: list[Prepared], seed: int,
-                     n_rollouts: int, chunk: Optional[int], workers: int,
+                     n_rollouts: int, workers: int,
                      keep_traces: int = 0) -> Iterator:
-    """Send out the chunks of ``_run_prepared``; ``_gather_prepared`` reads
-    them.  Closing the returned iterator cancels the chunks not started."""
+    """Send out the chunks of a run of every prepared strategy on the same
+    rollouts; ``_gather_prepared`` reads them.  Each chunk draws its noise
+    once and steps every strategy through it.  Closing the returned
+    iterator cancels the chunks not started."""
     if n_rollouts <= 0:
         raise ValueError("n_rollouts must be positive")
-    if chunk is None:
-        chunk = min(_default_chunk(model.dims),
-                    math.ceil(n_rollouts / max(workers, 1)))
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    chunk = min(_default_chunk(model.dims), math.ceil(n_rollouts / workers))
     jobs = [(model, preps, seed, lo, hi, max(0, min(keep_traces - lo, hi - lo)))
             for lo, hi in _chunked(n_rollouts, chunk)]
     return _pool_map(_chunk_job, jobs, workers if len(jobs) > 1 else 1)
@@ -464,15 +446,16 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def run_rollouts(model: TeamModel, kind: StrategyKind, seed: int = 0,
-                 n_rollouts: int = 1000, chunk: Optional[int] = None,
-                 workers: int = 1, keep_traces: int = 0) -> RolloutBatch:
+                 n_rollouts: int = 1000, workers: int = 1,
+                 keep_traces: int = 0) -> RolloutBatch:
     """Simulate ``n_rollouts`` independent rollouts under one strategy.
 
     Traces are kept for the first ``keep_traces`` rollout indices only; cost
     and correction arrays always cover every rollout.
     """
-    return _run_strategies(model, (kind,), seed, n_rollouts, chunk, workers,
-                           keep_traces)[0]
+    return _gather_prepared(_submit_prepared(
+        model, [_prepare(model, kind)], seed, n_rollouts, workers,
+        keep_traces))[0]
 
 
 def rollout(model: TeamModel, kind: StrategyKind, seed: int = 0,
@@ -484,11 +467,10 @@ def rollout(model: TeamModel, kind: StrategyKind, seed: int = 0,
 
 
 def evaluate_cost(model: TeamModel, kind: StrategyKind, seed: int = 0,
-                  n_rollouts: int = 1000, chunk: Optional[int] = None,
-                  workers: int = 1) -> CostEstimate:
+                  n_rollouts: int = 1000, workers: int = 1) -> CostEstimate:
     """Monte Carlo estimate of the expected team cost with its standard error."""
     batch = run_rollouts(model, kind, seed=seed, n_rollouts=n_rollouts,
-                         chunk=chunk, workers=workers)
+                         workers=workers)
     mean, se = _mean_se(batch.costs)
     return CostEstimate(
         mean=mean,
@@ -501,15 +483,15 @@ def evaluate_cost(model: TeamModel, kind: StrategyKind, seed: int = 0,
 
 def paired_cost_gap(model: TeamModel, kind_a: StrategyKind, kind_b: StrategyKind,
                     seed: int = 0, n_rollouts: int = 1000,
-                    chunk: Optional[int] = None,
                     workers: int = 1) -> tuple[float, float]:
     """Mean and standard error of cost(a) - cost(b) under common noise.
 
     Both strategies run on the identical noise bank rollout by rollout, so
     the difference has far less variance than two independent estimates.
     """
-    a, b = _run_strategies(model, (kind_a, kind_b), seed, n_rollouts, chunk,
-                           workers)
+    a, b = _gather_prepared(_submit_prepared(
+        model, [_prepare(model, kind_a), _prepare(model, kind_b)], seed,
+        n_rollouts, workers))
     return _mean_se(a.costs - b.costs)
 
 
@@ -569,8 +551,7 @@ def convergence_experiment(model: TeamModel, n_list: tuple[int, ...],
             sized = resize_team(model, n)
             preps = [_prepare(sized, MeanField()), _prepare(sized, Optimal())]
             runs.append((sized, preps, queued.enter_context(contextlib.closing(
-                _submit_prepared(sized, preps, seed, rollouts, None,
-                                 workers)))))
+                _submit_prepared(sized, preps, seed, rollouts, workers)))))
         for sized, preps, parts in runs:
             exact_gap = (exact_cost(sized, MeanField())
                          - exact_cost(sized, Optimal()))

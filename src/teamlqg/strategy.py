@@ -19,7 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .filters import FilterSchedule, _matvec, precompute_filters, precompute_local
-from .model import TeamModel, _read_json, _stack_stage
+from .model import Dimensions, TeamModel, _read_json, _stack_stage
 from .riccati import RiccatiPass, solve_riccati
 
 
@@ -83,11 +83,8 @@ class CustomLinear:
     def from_json_dict(cls, doc: dict, model: TeamModel) -> "CustomLinear":
         """Read each coefficient in any form ``model._stack_stage`` accepts;
         an omitted one is zero."""
-        d = model.dims
-        stages = max(d.T - 1, 0)
-        cols = {"theta": d.d_x, "phi": d.d_x, "psi": d.d_y, "omega": d.d_y}
-        return cls(**{key: _stack_stage(doc.get(key, 0.0), stages, d.d_u, cols[key], key)
-                      for key in cols})
+        return cls(**{key: _stack_stage(doc.get(key, 0.0), *shape, key)
+                      for key, shape in _coefficient_shapes(model.dims).items()})
 
     def prepare(self, model: TeamModel) -> Prepared:
         return Prepared(self, *precompute_filters(model), None)
@@ -107,6 +104,16 @@ class CustomLinear:
         u += self.psi[t] @ y
         u += shared[..., None] * alpha
         return u
+
+
+def _coefficient_shapes(dims: Dimensions) -> dict[str, tuple[int, int, int]]:
+    """The (stages, rows, cols) shape of each ``CustomLinear`` coefficient
+    stack, in field order: theta, phi, psi, omega."""
+    stages = max(dims.T - 1, 0)
+    return {"theta": (stages, dims.d_u, dims.d_x),
+            "phi": (stages, dims.d_u, dims.d_x),
+            "psi": (stages, dims.d_u, dims.d_y),
+            "omega": (stages, dims.d_u, dims.d_y)}
 
 
 StrategyKind = Union[ZeroAction, Optimal, MeanField, CustomLinear]

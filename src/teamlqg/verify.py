@@ -28,9 +28,9 @@ from .filters import team_error_covariance
 from .model import TeamModel, make_model
 from .oracle import _Team, centralized_estimates, exact_cost
 from .random_models import random_team
-from .sim import (_gather_prepared, _mean_se, _pool_map, _prepare,
-                  _run_prepared, _submit_prepared)
-from .strategy import CustomLinear, Optimal, StrategyKind, ZeroAction
+from .sim import _gather_prepared, _mean_se, _pool_map, _prepare, _submit_prepared
+from .strategy import (CustomLinear, Optimal, StrategyKind, ZeroAction,
+                       _coefficient_shapes)
 
 ESTIMATE_TOL = 1e-9
 COVARIANCE_TOL = 1e-9
@@ -83,15 +83,8 @@ def reference_models() -> tuple[TeamModel, TeamModel]:
 
 
 def _random_rule(model: TeamModel, rng: np.random.Generator) -> CustomLinear:
-    d = model.dims
-    stages = max(d.T - 1, 0)
-    scale = 0.4
-    return CustomLinear(
-        theta=scale * rng.normal(size=(stages, d.d_u, d.d_x)),
-        phi=scale * rng.normal(size=(stages, d.d_u, d.d_x)),
-        psi=scale * rng.normal(size=(stages, d.d_u, d.d_y)),
-        omega=scale * rng.normal(size=(stages, d.d_u, d.d_y)),
-    )
+    return CustomLinear(**{key: 0.4 * rng.normal(size=shape) for key, shape
+                           in _coefficient_shapes(model.dims).items()})
 
 
 def check_one_model(model: TeamModel, kind: StrategyKind,
@@ -106,7 +99,8 @@ def check_one_model(model: TeamModel, kind: StrategyKind,
     both the rollouts and the covariance check.
     """
     prep = _prepare(model, kind)
-    batch = _run_prepared(model, [prep], seed, 4, None, 1, keep_traces=1)[0]
+    batch = _gather_prepared(_submit_prepared(model, [prep], seed, 4, 1,
+                                              keep_traces=1))[0]
     trace = batch.traces[0]
     estimates, run = centralized_estimates(model, trace.y, trace.u)
     scale = max(1.0, float(np.abs(estimates).max()))
@@ -151,7 +145,7 @@ def run_verification_suite(n_models: int = 100, seed: int = 0,
             (label, model, queued.enter_context(contextlib.closing(
                 _submit_prepared(model, [_prepare(model, kind)
                                          for _, kind in kinds],
-                                 seed, mc_rollouts, None, workers))))
+                                 seed, mc_rollouts, workers))))
             for label, model in (("uncoupled-pair", uncoupled),
                                  ("coupled-pair", coupled))]
 

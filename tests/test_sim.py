@@ -1,5 +1,6 @@
 """Monte Carlo engine: reproducibility, cross-checks, cost comparisons."""
 
+import contextlib
 import functools
 import math
 import multiprocessing
@@ -50,6 +51,18 @@ from reference import (
 )
 
 
+@contextlib.contextmanager
+def _chunks_of(size):
+    """Runs inside take chunks of ``size`` rollouts, or fewer where the
+    split across workers binds, through the chunk rule every run uses."""
+    asked = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_default_chunk",
+                      lambda dims: asked.append(dims) or size)
+        yield
+    assert asked, "no run inside asked for its chunk size"
+
+
 def test_rerun_is_bitwise_identical(model_s2):
     a = run_rollouts(model_s2, Optimal(), seed=11, n_rollouts=300)
     b = run_rollouts(model_s2, Optimal(), seed=11, n_rollouts=300)
@@ -59,10 +72,12 @@ def test_rerun_is_bitwise_identical(model_s2):
 
 def test_chunking_and_prefix_do_not_change_draws(model_s2):
     """Rollout index alone determines the noise, not the batch layout."""
-    whole = run_rollouts(model_s2, Optimal(), seed=7, n_rollouts=500, chunk=500)
-    split = run_rollouts(model_s2, Optimal(), seed=7, n_rollouts=500, chunk=64)
+    with _chunks_of(500):
+        whole = run_rollouts(model_s2, Optimal(), seed=7, n_rollouts=500)
+    with _chunks_of(64):
+        split = run_rollouts(model_s2, Optimal(), seed=7, n_rollouts=500)
+        prefix = run_rollouts(model_s2, Optimal(), seed=7, n_rollouts=200)
     np.testing.assert_array_equal(whole.costs, split.costs)
-    prefix = run_rollouts(model_s2, Optimal(), seed=7, n_rollouts=200, chunk=64)
     np.testing.assert_array_equal(whole.costs[:200], prefix.costs)
 
 
@@ -77,8 +92,8 @@ def test_stage_costs_do_not_depend_on_chunk_size(n):
         for kind in kinds:
             whole = run_rollouts(model, kind, seed=draw, n_rollouts=14)
             for chunk in (1, 2, 3, 5, 7):
-                split = run_rollouts(model, kind, seed=draw, n_rollouts=14,
-                                     chunk=chunk)
+                with _chunks_of(chunk):
+                    split = run_rollouts(model, kind, seed=draw, n_rollouts=14)
                 np.testing.assert_array_equal(whole.stage_costs,
                                               split.stage_costs)
                 np.testing.assert_array_equal(whole.ms_correction,
@@ -116,13 +131,16 @@ def _coupled_pair_dims_model(n, T):
 @pytest.mark.parametrize("kind", [Optimal(), MeanField()])
 def test_chunking_and_workers_do_not_change_draws_at_large_n(kind):
     model = _coupled_pair_dims_model(n=1024, T=3)
-    whole = run_rollouts(model, kind, seed=19, n_rollouts=40, chunk=40)
+    with _chunks_of(40):
+        whole = run_rollouts(model, kind, seed=19, n_rollouts=40)
     for chunk, workers in ((7, 1), (7, 2), (40, 2)):
-        split = run_rollouts(model, kind, seed=19, n_rollouts=40, chunk=chunk,
-                             workers=workers)
+        with _chunks_of(chunk):
+            split = run_rollouts(model, kind, seed=19, n_rollouts=40,
+                                 workers=workers)
         np.testing.assert_array_equal(whole.costs, split.costs)
         np.testing.assert_array_equal(whole.ms_correction, split.ms_correction)
-    prefix = run_rollouts(model, kind, seed=19, n_rollouts=23, chunk=7)
+    with _chunks_of(7):
+        prefix = run_rollouts(model, kind, seed=19, n_rollouts=23)
     np.testing.assert_array_equal(whole.costs[:23], prefix.costs)
     np.testing.assert_array_equal(whole.ms_correction[:23],
                                   prefix.ms_correction)
@@ -199,11 +217,34 @@ def test_default_chunk_keeps_bank_within_budget():
 
 
 def test_worker_pool_matches_inline(model_s2):
-    inline = run_rollouts(model_s2, MeanField(), seed=3, n_rollouts=300, chunk=100)
-    pooled = run_rollouts(model_s2, MeanField(), seed=3, n_rollouts=300, chunk=100,
-                          workers=2)
+    with _chunks_of(100):
+        inline = run_rollouts(model_s2, MeanField(), seed=3, n_rollouts=300)
+        pooled = run_rollouts(model_s2, MeanField(), seed=3, n_rollouts=300,
+                              workers=2)
     np.testing.assert_array_equal(inline.costs, pooled.costs)
     assert inline.residual_max == pooled.residual_max
+
+
+_RUNS = {
+    "run_rollouts": lambda workers: run_rollouts(
+        scalar_pair_model(), Optimal(), n_rollouts=4, workers=workers),
+    "evaluate_cost": lambda workers: evaluate_cost(
+        scalar_pair_model(), Optimal(), n_rollouts=4, workers=workers),
+    "paired_cost_gap": lambda workers: paired_cost_gap(
+        scalar_pair_model(), MeanField(), Optimal(), n_rollouts=4,
+        workers=workers),
+    "convergence_experiment": lambda workers: convergence_experiment(
+        benchmark_convergence_model(), (2, 4), rollouts=4, workers=workers),
+    "run_verification_suite": lambda workers: run_verification_suite(
+        n_models=1, mc_rollouts=4, workers=workers),
+}
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("run", list(_RUNS))
+def test_fewer_than_one_worker_is_rejected(run, workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        _RUNS[run](workers)
 
 
 def test_default_chunk_splits_across_workers_at_large_n(monkeypatch):
@@ -258,17 +299,18 @@ def test_default_chunks_match_one_whole_batch_at_large_n(workers):
     rollouts = 70
     assert sim._default_chunk(model.dims) < rollouts
     for kind in (Optimal(), MeanField()):
-        whole = run_rollouts(model, kind, seed=31, n_rollouts=rollouts,
-                             chunk=rollouts)
+        with _chunks_of(rollouts):
+            whole = run_rollouts(model, kind, seed=31, n_rollouts=rollouts)
         split = run_rollouts(model, kind, seed=31, n_rollouts=rollouts,
                              workers=workers)
         for field in ("costs", "stage_costs", "ms_correction"):
             np.testing.assert_array_equal(getattr(whole, field),
                                           getattr(split, field))
-    assert (paired_cost_gap(model, MeanField(), Optimal(), seed=31,
-                            n_rollouts=rollouts, workers=workers)
-            == paired_cost_gap(model, MeanField(), Optimal(), seed=31,
-                               n_rollouts=rollouts, chunk=rollouts))
+    split_gap = paired_cost_gap(model, MeanField(), Optimal(), seed=31,
+                                n_rollouts=rollouts, workers=workers)
+    with _chunks_of(rollouts):
+        assert split_gap == paired_cost_gap(model, MeanField(), Optimal(),
+                                            seed=31, n_rollouts=rollouts)
 
 
 def test_pooled_calls_reuse_the_same_workers(model_s2):
@@ -415,8 +457,9 @@ def test_trace_actions_follow_gain_schedule(model_s2):
 
 
 def test_trace_recording_is_consistent(model_s2):
-    batch = run_rollouts(model_s2, Optimal(), seed=9, n_rollouts=5, chunk=2,
-                         keep_traces=5)
+    with _chunks_of(2):
+        batch = run_rollouts(model_s2, Optimal(), seed=9, n_rollouts=5,
+                             keep_traces=5)
     assert len(batch.traces) == 5
     for idx, trace in enumerate(batch.traces):
         assert trace.stage_cost.sum() == batch.costs[idx]
