@@ -303,18 +303,14 @@ def validate(model: TeamModel) -> ValidationReport:
         if dev > NORMALIZATION_TOL:
             v.append(f"alpha normalization violated: |(1/n) sum alpha^2 - 1| = {dev:.3e}")
 
-    for key, (rname, cname) in _STAGE_SHAPES.items():
-        want = (d.T, getattr(d, rname), getattr(d, cname))
-        if getattr(model, key).shape != want:
-            v.append(f"{key}: expected shape {want}, got {getattr(model, key).shape}")
-    if model.mu_x.shape != (d.d_x,):
-        v.append(f"mu_x: expected shape {(d.d_x,)}, got {model.mu_x.shape}")
-    if model.Sigma_x.shape != (d.d_x, d.d_x):
-        v.append(f"Sigma_x: expected shape {(d.d_x, d.d_x)}, got {model.Sigma_x.shape}")
-    if model.Sigma_w.shape != (d.T, d.d_w, d.d_w):
-        v.append(f"Sigma_w: expected shape {(d.T, d.d_w, d.d_w)}, got {model.Sigma_w.shape}")
-    if model.Sigma_v.shape != (d.T, d.d_v, d.d_v):
-        v.append(f"Sigma_v: expected shape {(d.T, d.d_v, d.d_v)}, got {model.Sigma_v.shape}")
+    expected = {key: (d.T, getattr(d, rows), getattr(d, cols))
+                for key, (rows, cols) in _STAGE_SHAPES.items()}
+    expected.update(mu_x=(d.d_x,), Sigma_x=(d.d_x, d.d_x),
+                    Sigma_w=(d.T, d.d_w, d.d_w), Sigma_v=(d.T, d.d_v, d.d_v))
+    for key, want in expected.items():
+        got = getattr(model, key).shape
+        if got != want:
+            v.append(f"{key}: expected shape {want}, got {got}")
     if v:
         # shape problems make the spectral checks below meaningless
         return ValidationReport(tuple(v))
@@ -362,9 +358,12 @@ def normalize_influence(alpha_raw) -> np.ndarray:
         raise InfluenceError("influence vector has non-finite entries")
     if np.any(arr == 0.0):
         raise InfluenceError("influence vector has zero entries")
-    ssq = float(np.sum(arr**2))
-    if ssq == 0.0:
-        raise InfluenceError("influence vector is zero")
+    with np.errstate(over="ignore"):
+        ssq = float(np.sum(arr**2))
+    if not n * np.finfo(float).tiny <= ssq < np.inf:
+        # the squares under- or overflow: scale by the largest entry first
+        arr = arr / np.max(np.abs(arr))
+        ssq = float(np.sum(arr**2))
     return arr * np.sqrt(n / ssq)
 
 

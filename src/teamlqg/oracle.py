@@ -360,7 +360,7 @@ def _closed_loop(model: TeamModel, prep: Prepared, team: _Team) -> _ClosedLoop:
     )
 
 
-def exact_cost(model: TeamModel, kind: StrategyKind) -> float:
+def exact_cost(model: TeamModel, kind: StrategyKind) -> float | complex:
     """Exact expected team cost of a strategy, by closed-loop moment propagation.
 
     The strategy is costed as ``kind.prepare(model)`` defines it.  The team
@@ -371,6 +371,9 @@ def exact_cost(model: TeamModel, kind: StrategyKind) -> float:
     through it stage by stage.  Quadratic costs are traces against those
     moments, with the complement agent's blocks weighted by the number of
     real agents it stands for, so no sampling is involved anywhere.
+
+    Complex coefficients (see ``cost_gradient``) give a complex cost: every
+    transpose is a plain one.
     """
     loop = _closed_loop(model, kind.prepare(model), _Team.reduced(model))
     system = loop.system
@@ -385,16 +388,16 @@ def exact_cost(model: TeamModel, kind: StrategyKind) -> float:
     total = 0.0
     for t in range(model.T):
         x = m[:N]
-        total += float(np.sum(system.Qx[t] * P[:N, :N]) + x @ system.Qx[t] @ x)
+        total += np.sum(system.Qx[t] * P[:N, :N]) + x @ system.Qx[t] @ x
         if t == S:
             break
         u = loop.K[t] @ m + loop.k[t]
         Puu = loop.K[t] @ P @ loop.K[t].T + noise_u[t]
-        total += float(np.sum(system.Ru[t] * Puu) + u @ system.Ru[t] @ u)
+        total += np.sum(system.Ru[t] * Puu) + u @ system.Ru[t] @ u
         P = loop.F[t] @ P @ loop.F[t].T + noise[t]
         P = 0.5 * (P + P.T)
         m = loop.F[t] @ m + loop.f[t]
-    return total
+    return total if np.iscomplexobj(total) else float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -409,21 +412,27 @@ def pack_coefficients(kind: CustomLinear) -> np.ndarray:
 
 
 def unpack_coefficients(vec: np.ndarray, model: TeamModel) -> CustomLinear:
+    """The CustomLinear rule of a packed vector; a complex vector stays complex."""
     shapes = _coefficient_shapes(model.dims)
-    parts = np.split(np.asarray(vec, dtype=float),
-                     np.cumsum(list(map(math.prod, shapes.values())))[:-1])
+    vec = np.asarray(vec, dtype=complex if np.iscomplexobj(vec) else float)
+    parts = np.split(vec, np.cumsum(list(map(math.prod, shapes.values())))[:-1])
     return CustomLinear(**{key: part.reshape(shape) for (key, shape), part
                            in zip(shapes.items(), parts)})
 
 
-def fd_gradient(fun, p: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central finite-difference gradient, one coordinate at a time."""
-    g = np.zeros_like(p)
-    for idx in range(p.shape[0]):
-        e = np.zeros_like(p)
-        e[idx] = step
-        g[idx] = (fun(p + e) - fun(p - e)) / (2.0 * step)
-    return g
+_COMPLEX_STEP = 1e-30
+
+
+def cost_gradient(model: TeamModel, vec: np.ndarray) -> np.ndarray:
+    """Gradient of ``exact_cost(model, unpack_coefficients(vec, model))``.
+
+    Complex step, one coordinate at a time: dJ/dv_i = Im J(v + i h e_i) / h
+    with h = ``_COMPLEX_STEP``.  No difference of two costs is taken, so the
+    result is exact up to rounding, at one ``exact_cost`` call per coordinate.
+    """
+    probes = vec + 1j * _COMPLEX_STEP * np.eye(len(vec))
+    return np.array([exact_cost(model, unpack_coefficients(probe, model)).imag
+                     for probe in probes]) / _COMPLEX_STEP
 
 
 @dataclass(frozen=True)
@@ -441,33 +450,24 @@ def brute_force_optimize(
     """Minimize the exact cost over the CustomLinear class by multi-start descent.
 
     Start points are drawn from a fixed seed, so the search result is
-    deterministic.  Gradients for the quasi-Newton steps come from central
-    finite differences of the exact cost, independent of any optimality
+    deterministic.  Gradients for the quasi-Newton steps are the exact cost's
+    own, by complex step (``cost_gradient``), independent of any optimality
     theory being tested.
     """
     # scipy.optimize is slow to import and only this search uses it
     from scipy.optimize import minimize
 
     dim = sum(map(math.prod, _coefficient_shapes(model.dims).values()))
-    fun = lambda v: exact_cost(model, unpack_coefficients(v, model))
     if dim == 0:
         cost = exact_cost(model, ZeroAction())
         return BruteForceResult(cost, unpack_coefficients(np.zeros(0), model), (cost,))
 
     rng = np.random.default_rng(seed)
-    points = [np.zeros(dim)]
-    points += [0.5 * rng.normal(size=dim) for _ in range(max(starts - 1, 0))]
-    best_cost = np.inf
-    best_vec = points[0]
-    achieved = []
-    for p0 in points:
-        res = minimize(
-            fun, p0, method="BFGS",
-            jac=lambda v: fd_gradient(fun, v),
-            options={"gtol": 1e-9, "maxiter": 300},
-        )
-        achieved.append(float(res.fun))
-        if res.fun < best_cost:
-            best_cost = float(res.fun)
-            best_vec = res.x
-    return BruteForceResult(best_cost, unpack_coefficients(best_vec, model), tuple(achieved))
+    points = [np.zeros(dim)] + [0.5 * rng.normal(size=dim) for _ in range(starts - 1)]
+    runs = [minimize(lambda v: exact_cost(model, unpack_coefficients(v, model)), p0,
+                     method="BFGS", jac=lambda v: cost_gradient(model, v),
+                     options={"gtol": 1e-9, "maxiter": 300})
+            for p0 in points]
+    best = min(runs, key=lambda res: res.fun)
+    return BruteForceResult(float(best.fun), unpack_coefficients(best.x, model),
+                            tuple(float(res.fun) for res in runs))

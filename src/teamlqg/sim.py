@@ -517,7 +517,7 @@ class ConvergenceResult:
 
 
 def _log_slope(ns: np.ndarray, values: np.ndarray) -> float:
-    if np.any(values <= 0.0) or len(ns) < 2:
+    if np.any(values <= 0.0) or np.unique(ns).size < 2:
         return float("nan")
     return float(np.polyfit(np.log(ns), np.log(values), 1)[0])
 

@@ -17,10 +17,9 @@ from teamlqg import normalize_influence, resize_team
 from teamlqg.filters import precompute_global
 from teamlqg.oracle import (
     brute_force_optimize,
+    cost_gradient,
     exact_cost,
-    fd_gradient,
     pack_coefficients,
-    unpack_coefficients,
 )
 from teamlqg.random_models import random_team
 from teamlqg.riccati import solve_riccati
@@ -94,7 +93,7 @@ def test_criterion_02_covariances_match_joint_filter(suite):
 def test_criterion_03_search_attains_computed_optimum(model_s1, model_s2):
     """Unstructured descent lands on the value the recursions predict.
 
-    Also checks that the finite-difference gradient vanishes at the
+    Also checks that the exact (complex-step) gradient vanishes at the
     closed-form coefficients, on both reference models.
     """
     for label, model, starts, seed in (("uncoupled", model_s1, 10, 5),
@@ -108,9 +107,7 @@ def test_criterion_03_search_attains_computed_optimum(model_s1, model_s2):
 
         packed = pack_coefficients(optimal_coefficients(solve_riccati(model),
                                                         model))
-        grad = fd_gradient(
-            lambda vec: exact_cost(model, unpack_coefficients(vec, model)),
-            packed)
+        grad = cost_gradient(model, packed)
         bound = 1e-5 * (1.0 + abs(target))
         print(f"criterion 03 [{label}]: gradient norm "
               f"{np.abs(grad).max():.2e} (bound {bound:.2e})")

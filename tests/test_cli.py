@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import teamlqg
-from teamlqg import make_model, save_model
+from teamlqg import load_model, make_model, save_model, validate
 from teamlqg.cli import main
 from teamlqg.riccati import RiccatiPass, solve_riccati
 from teamlqg.sim import evaluate_cost, rollout, run_rollouts
@@ -291,6 +291,65 @@ def test_bad_counts_are_usage_errors_before_any_work(model_file, tmp_path,
     assert not out.exists()
 
 
+# every command that loads a model, with flags that keep it small
+_MODEL_COMMANDS = {
+    "precompute": ["precompute"],
+    "simulate": ["simulate", "--rollouts", "2", "--workers", "1"],
+    "convergence": ["convergence", "--n-list", "2,4", "--rollouts", "2",
+                    "--workers", "1"],
+    "verify": ["verify", "--models", "0", "--workers", "1",
+               "--precomputed", "PRE"],
+}
+
+
+def _write_bad_model(path, problem):
+    if problem == "malformed":
+        path.write_text("{not json")
+    elif problem == "invalid":
+        save_model(scalar_pair_model(R=0.0), path)
+
+
+@pytest.mark.parametrize("problem, code, first_line", [
+    ("missing", 64, "usage error: model file not found: MODEL"),
+    ("malformed", 1, "validation failure: model file rejected: MODEL: not valid JSON"),
+    ("invalid", 1, "validation failure: model failed validation:"),
+])
+@pytest.mark.parametrize("command", sorted(_MODEL_COMMANDS))
+def test_every_command_reports_a_bad_model_file(tmp_path, capsys, command,
+                                                problem, code, first_line):
+    model = tmp_path / "model.json"
+    _write_bad_model(model, problem)
+    args = [{"PRE": str(tmp_path / "pre")}.get(a, a)
+            for a in _MODEL_COMMANDS[command]]
+    assert main([*args, "--model", str(model),
+                 "--out", str(tmp_path / "out")]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith(first_line.replace("MODEL", str(model)))
+    if problem == "invalid":
+        assert lines[1:] == [f"  - {v}" for v in validate(load_model(model)).violations]
+        assert "  - R not positive definite at t=1" in lines
+
+
+def test_malformed_custom_strategy_file_is_validation_failure(model_file,
+                                                              tmp_path, capsys):
+    rule = tmp_path / "rule.json"
+    rule.write_text("{not json")
+    assert main(["simulate", "--model", model_file, "--strategy", f"custom:{rule}",
+                 "--workers", "1", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"validation failure: strategy file rejected: {rule}: not valid JSON")
+
+
+def test_argument_parse_error_is_usage_error(model_file, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "--model", model_file, "--rollouts", "abc"])
+    assert exit_info.value.code == 64
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "teamlqg simulate: error: argument --rollouts: invalid int value: 'abc'")
+
+
 @pytest.mark.parametrize("name", ["riccati.json", "local_filter.json",
                                   "global_filter.json"])
 def test_corrupt_precomputed_file_fails_the_roundtrip(model_file, tmp_path,
@@ -395,6 +454,19 @@ def test_convergence_writes_a_slope_it_cannot_fit_as_null(tmp_path, capsys):
     assert summary["slope_gap"] is None
     assert summary["slope_sigma"] == pytest.approx(-1.0, abs=1e-6)
     assert "gap undefined" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error::numpy.exceptions.RankWarning")
+def test_convergence_fits_no_slope_through_one_size(tmp_path, capsys):
+    """A repeated size gives one point on the log-log axes: every slope is
+    undefined, not the fit of a rank-deficient system."""
+    out = tmp_path / "conv"
+    assert main(["convergence", "--n-list", "4,4", "--rollouts", "20",
+                 "--workers", "1", "--out", str(out)]) == 0
+    summary = json.loads((out / "convergence_summary.json").read_text())
+    assert all(summary[key] is None for key in summary if key.startswith("slope_"))
+    assert capsys.readouterr().out == (
+        "slopes: sigma undefined, correction undefined, gap undefined\n")
 
 
 def test_verify_reports_a_nan_deviation_as_failure(tmp_path, monkeypatch):

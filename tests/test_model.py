@@ -1,5 +1,6 @@
 """Model construction, validation, influence normalization, and the JSON readers."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -19,6 +20,7 @@ from teamlqg import (
     validate,
 )
 from teamlqg.filters import schedule_to_json_dict
+from teamlqg.model import NORMALIZATION_TOL
 from teamlqg.random_models import random_team
 from teamlqg.strategy import CustomLinear
 from conftest import scalar_pair_model
@@ -81,6 +83,23 @@ def test_indefinite_coupled_cost_is_flagged():
     assert any("Q+Q_bar not positive semidefinite at t=1" in msg for msg in report.violations)
 
 
+def test_validate_reports_every_wrong_shape_in_field_order(model_s1):
+    """Shapes make_model cannot produce, each reported once; no spectral
+    check runs on them."""
+    bad = dataclasses.replace(
+        model_s1, A=np.zeros((2, 2, 2)), S_bar=np.zeros((2, 1)),
+        mu_x=np.zeros(2), Sigma_x=np.zeros((1, 2)),
+        Sigma_w=np.zeros((3, 1, 1)), Sigma_v=np.zeros((2, 1, 2)))
+    assert validate(bad).violations == (
+        "A: expected shape (2, 1, 1), got (2, 2, 2)",
+        "S_bar: expected shape (2, 1, 1), got (2, 1)",
+        "mu_x: expected shape (1,), got (2,)",
+        "Sigma_x: expected shape (1, 1), got (1, 2)",
+        "Sigma_w: expected shape (2, 1, 1), got (3, 1, 1)",
+        "Sigma_v: expected shape (2, 1, 1), got (2, 1, 2)",
+    )
+
+
 def test_normalize_influence_reference_values():
     alpha = normalize_influence((1.0, 2.0))
     np.testing.assert_allclose(alpha, [0.6324555320336759, 1.2649110640673518], rtol=1e-12)
@@ -96,6 +115,15 @@ def test_normalize_influence_rejects_degenerate_input():
         normalize_influence((1.0, 0.0, 2.0))
     with pytest.raises(InfluenceError):
         normalize_influence((1.0, np.inf))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("raw", [(1e-160, 2e-160), (1e200, 1e200),
+                                 (1e155, 1e155, 1.0), (1e-200, 1e-200)])
+def test_normalize_influence_survives_squares_that_under_or_overflow(raw):
+    alpha = normalize_influence(raw)
+    assert np.all(np.isfinite(alpha))
+    assert abs(np.mean(alpha**2) - 1.0) <= NORMALIZATION_TOL
 
 
 @settings(max_examples=60, deadline=None)

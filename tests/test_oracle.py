@@ -21,8 +21,8 @@ from teamlqg.oracle import (
     brute_force_optimize,
     centralized_estimates,
     centralized_filter,
+    cost_gradient,
     exact_cost,
-    fd_gradient,
     pack_coefficients,
     unpack_coefficients,
 )
@@ -567,10 +567,57 @@ def test_brute_force_attains_optimal_cost_coupled(model_s2):
 def test_gradient_vanishes_at_optimal_coefficients(model_s2):
     gains = solve_riccati(model_s2)
     p = pack_coefficients(optimal_coefficients(gains, model_s2))
-    grad = fd_gradient(
-        lambda q: exact_cost(model_s2, unpack_coefficients(q, model_s2)), p)
+    grad = cost_gradient(model_s2, p)
     j = exact_cost(model_s2, Optimal())
     assert np.abs(grad).max() <= 1e-5 * (1.0 + abs(j))
+
+
+def test_brute_force_without_action_stages_costs_the_initial_state():
+    """With T = 1 there is nothing to search: the result is ZeroAction's
+    cost with empty coefficient stacks."""
+    model = scalar_pair_model(T=1, mu_x=1.0)
+    result = brute_force_optimize(model)
+    assert result.best_cost == exact_cost(model, Optimal())
+    assert result.start_costs == (result.best_cost,)
+    assert pack_coefficients(result.best_rule).shape == (0,)
+
+
+def _perturbed_optimum(model, rng):
+    """Packed optimal coefficients plus 0.05 noise: a point with a gradient."""
+    p = pack_coefficients(optimal_coefficients(solve_riccati(model), model))
+    return p + 0.05 * rng.normal(size=p.shape)
+
+
+def test_cost_gradient_matches_central_differences_away_from_the_optimum():
+    """The complex-step gradient against central differences taken here,
+    on random teams up to n = 1024; step 1e-5 leaves O(1e-10) truncation
+    and cancellation error, far inside the tolerances."""
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 5, 64, 1024):
+        model = random_team(rng, n=n, T=3, d_max=2)
+        p = _perturbed_optimum(model, rng)
+        cost = lambda q: exact_cost(model, unpack_coefficients(q, model))
+        central = np.array([(cost(p + e) - cost(p - e)) / 2e-5
+                            for e in 1e-5 * np.eye(p.size)])
+        grad = cost_gradient(model, p)
+        assert np.abs(grad).max() > 1e-3
+        np.testing.assert_allclose(grad, central, rtol=1e-5,
+                                   atol=1e-8 * (1.0 + abs(cost(p))))
+
+
+def test_exact_cost_of_complex_coefficients_keeps_the_real_cost():
+    """Complex input gives a complex cost whose real part is the real cost;
+    real input gives a Python float."""
+    rng = np.random.default_rng(43)
+    for n in (2, 5, 1024):
+        model = random_team(rng, n=n)
+        p = _perturbed_optimum(model, rng)
+        real = exact_cost(model, unpack_coefficients(p, model))
+        assert type(real) is float
+        probe = p + 1e-30j * rng.normal(size=p.shape)
+        cost = exact_cost(model, unpack_coefficients(probe, model))
+        assert np.iscomplexobj(cost)
+        assert cost.real == pytest.approx(real, rel=1e-12)
 
 
 def test_pack_unpack_roundtrip(model_s2):
