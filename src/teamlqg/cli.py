@@ -228,6 +228,8 @@ def _check_precomputed(model: TeamModel, directory: str) -> bool:
 
 def cmd_verify(args) -> int:
     roundtrip_ok = None
+    if args.model and not args.precomputed:
+        raise _UsageError("--model requires --precomputed")
     if args.precomputed:
         if not args.model:
             raise _UsageError("--precomputed requires --model")

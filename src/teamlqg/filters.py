@@ -20,8 +20,10 @@ rollouts along a leading axis; the simulator and a single hand-driven
 trajectory use the same update and predict functions.  Stepping arrays are
 agent-last, ``(B, d, n)``: a stage matrix applies as ``M @ x``, an influence
 average is ``x @ alpha / n``, and ``alpha_i * z`` broadcasts along the
-contiguous agent axis.  Aggregate rows ``(B, d)`` take a stage matrix through
-``_matvec``, one product per row, so a rollout rounds alike in any batch.
+contiguous agent axis as ``z * model.alpha_bcast``, a product not built n
+wide under uniform influence.  Aggregate rows ``(B, d)`` take a stage matrix
+through ``_matvec``, one product per row, so a rollout rounds alike in any
+batch.
 """
 
 from __future__ import annotations
@@ -169,17 +171,17 @@ def update_estimates(
     innovation then drives the private deviation filters, ``agg`` comes back
     unchanged and ``correction`` is None.
     """
-    alpha = model.alpha
+    alpha, scale = model.alpha, model.alpha_bcast
     n = alpha.shape[0]
     C_all = model.C[t] + model.C_bar[t]
     raw = y - model.C[t] @ delta
-    raw -= _matvec(C_all, agg)[..., None] * alpha
+    raw -= _matvec(C_all, agg)[..., None] * scale
     if glob is None:
         return delta + local.gain[t] @ raw, agg, None
     agg_innov = raw @ alpha / n
-    raw -= agg_innov[..., None] * alpha
+    raw -= agg_innov[..., None] * scale
     delta = delta + local.gain[t] @ raw
-    delta -= (delta @ alpha / n)[..., None] * alpha
+    delta -= (delta @ alpha / n)[..., None] * scale
     correction = _matvec(glob.gain[t], agg_innov)
     return delta, agg + correction, correction
 
@@ -197,7 +199,7 @@ def predict_estimates(
     ``u`` (B, d_u, n) holds the applied actions and ``u_bar`` their
     influence-weighted average, or the planned one for mean-field filters.
     """
-    dev_u = u - u_bar[..., None] * model.alpha
+    dev_u = u - u_bar[..., None] * model.alpha_bcast
     delta = model.A[t] @ delta + model.B[t] @ dev_u
     agg = (_matvec(model.A[t] + model.A_bar[t], agg)
            + _matvec(model.B[t] + model.B_bar[t], u_bar))

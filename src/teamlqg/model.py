@@ -14,6 +14,7 @@ human-facing output such as validation messages and serialized schedules uses
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -104,6 +105,21 @@ class TeamModel:
     def alpha_mean(self) -> float:
         """(1/n) sum of influence factors."""
         return float(np.sum(self.alpha)) / self.dims.n
+
+    @functools.cached_property
+    def alpha_bcast(self) -> float | np.ndarray:
+        """The influence factor that scales a shared term along the agent
+        axis: the float alpha_0 when every alpha_i equals it, else ``alpha``.
+
+        ``z[..., None] * alpha_bcast`` is then a (..., 1) product under
+        uniform influence, broadcast by the add that consumes it instead of
+        built n wide, with the same bits as the vector product.  Influence
+        averages ``x @ alpha / n`` keep the vector.
+        """
+        alpha = self.alpha
+        if alpha.size and (alpha == alpha[0]).all():
+            return float(alpha[0])
+        return alpha
 
 
 @dataclass(frozen=True)

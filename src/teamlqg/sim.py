@@ -10,25 +10,28 @@ cost comparisons sharp.
 
 The stepping kernel works agent-last: states, observations, actions,
 estimates and noise are (B, d, n) arrays, so every stage matrix applies as
-one stacked ``M @ x`` and agents are the contiguous axis.  Recorded traces
-are transposed once to the (T, n, d) layout of ``Trace``.
+one stacked ``M @ x`` and agents are the contiguous axis.  A shared term
+``z`` enters each agent as ``z * model.alpha_bcast``: under uniform
+influence that is one float, and the add that consumes the (B, d, 1)
+product broadcasts it, so no n-wide copy is built.  Recorded traces are
+transposed once to the (T, n, d) layout of ``Trace``.
 
 Every run takes one path: each strategy is prepared once (``_prepare``),
 the run's chunks are queued (``_submit_prepared``), and their results are
 read back and merged per strategy (``_gather_prepared``).  The chunk size is
 not an option.  A chunk holds at most ``_default_chunk`` rollouts, whose
 noise bank fits ``BANK_BUDGET`` and each of whose (B, d, n) stepping arrays
-fits ``STEP_BUDGET``, so at large n a chunk is stepped in cache; with more
-than one worker it is also at most ``ceil(rollouts / workers)``, so every
-worker gets a share.  Since each rollout rounds independently of its batch,
-the chunk size changes no output bit.  Chunks go to one process pool per
-worker count, created on first use and kept for the life of the process;
-with one worker they run inline.  The pool's workers fork after
-``numpy.random`` is loaded, so they share the parent's copy of it; neither it
-nor the pool machinery is imported until a pool is built.  A run's chunks
-are all queued before its caller waits for the first, and a caller with
-several runs queues them all and then reads each, so the workers are not
-left idle between runs.
+fits ``STEP_BUDGET``, so at large n a chunk is stepped in cache (16 rollouts
+at n = 1024, d = 2); with more than one worker it is also at most
+``ceil(rollouts / workers)``, so every worker gets a share.  Since each
+rollout rounds independently of its batch, the chunk size changes no output
+bit.  Chunks go to one process pool per worker count, created on first use
+and kept for the life of the process; with one worker they run inline.  The
+pool's workers fork after ``numpy.random`` is loaded, so they share the
+parent's copy of it; neither it nor the pool machinery is imported until a
+pool is built.  A run's chunks are all queued before its caller waits for
+the first, and a caller with several runs queues them all and then reads
+each, so the workers are not left idle between runs.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .strategy import MeanField, Optimal, Prepared, StrategyKind
 
 MAX_CHUNK = 2048
 BANK_BUDGET = 256 * 2**20   # bytes of noise bank per chunk
-STEP_BUDGET = 512 * 2**10   # bytes of one (B, d, n) stepping array per chunk
+STEP_BUDGET = 256 * 2**10   # bytes of one (B, d, n) stepping array per chunk
 
 
 @dataclass(frozen=True)
@@ -173,10 +176,13 @@ def _default_chunk(dims: Dimensions) -> int:
     chunk of one.
 
     ``STEP_BUDGET`` keeps a chunk's stepping arrays in a core's cache at
-    large n (at n = 1024, d = 2 a chunk holds 32 rollouts).  Its value was
-    the fastest of 256 KiB to 1 MiB for paired runs at n = 128 and 1024,
-    d = 1, 2 and 5; smaller chunks lose to per-operation overhead.  At
-    small n it does not bind.
+    large n (at n = 1024, d = 2 a chunk holds 16 rollouts, with a 5 MiB
+    noise bank).  Its value comes from paired runs of a chunk's bank and
+    its ``MeanField`` and ``Optimal`` passes, in one process on a 2-core
+    VM, at n = 128 and 1024, d = 1, 2 and 5, T = 10: against 512 KiB,
+    256 KiB took 1-17% less time per rollout in all six cases (at n = 1024,
+    d = 2, 319 against 384 ms per 128 rollouts).  Budgets below 256 KiB
+    were not measured.  At small n it does not bind.
     """
     return max(1, min(MAX_CHUNK,
                       BANK_BUDGET // _bank_bytes_per_rollout(dims),
@@ -207,7 +213,7 @@ def _run_batch(model: TeamModel, prep: Prepared, bank: dict,
     """
     d = model.dims
     n, T = d.n, d.T
-    alpha = model.alpha
+    alpha, scale = model.alpha, model.alpha_bcast
     coeffs, plan = prep.coeffs, prep.plan
     B = bank["x1"].shape[0]
     keep = min(keep_traces, B)
@@ -228,7 +234,7 @@ def _run_batch(model: TeamModel, prep: Prepared, bank: dict,
         y = model.C[t] @ x
         y += model.S[t] @ v
         y += (_matvec(model.C_bar[t], x_bar)
-              + _matvec(model.S_bar[t], v_bar))[..., None] * alpha
+              + _matvec(model.S_bar[t], v_bar))[..., None] * scale
 
         if coeffs is not None:
             if plan is not None:
@@ -241,19 +247,19 @@ def _run_batch(model: TeamModel, prep: Prepared, bank: dict,
         last = t == T - 1
         if not last:
             u = (np.zeros((B, d.d_u, n)) if coeffs is None
-                 else coeffs.act(t, delta, agg, y, alpha))
+                 else coeffs.act(t, delta, agg, y, model))
             u_bar = u @ alpha / n
 
         # stage cost two ways
         Q, Q_bar = model.Q[t], model.Q_bar[t]
         direct = _quad_each(x, Q) + _quad(x_bar, Q_bar)
         split = _quad(x_bar, Q + Q_bar) \
-            + _quad_each(x - x_bar[..., None] * alpha, Q)
+            + _quad_each(x - x_bar[..., None] * scale, Q)
         if not last:
             R, R_bar = model.R[t], model.R_bar[t]
             direct += _quad_each(u, R) + _quad(u_bar, R_bar)
             split += _quad(u_bar, R + R_bar) \
-                + _quad_each(u - u_bar[..., None] * alpha, R)
+                + _quad_each(u - u_bar[..., None] * scale, R)
         residual_max = float(np.maximum(residual_max, (
             np.abs(direct - split) / np.maximum(1.0, np.abs(direct))).max()))
         stage_costs[:, t] = direct
@@ -277,7 +283,7 @@ def _run_batch(model: TeamModel, prep: Prepared, bank: dict,
             x = model.A[t] @ x
             x += model.B[t] @ u
             x += model.E[t] @ w
-            x += shared_drift[..., None] * alpha
+            x += shared_drift[..., None] * scale
             if coeffs is not None:
                 delta, agg = predict_estimates(
                     model, t, delta, agg, u,

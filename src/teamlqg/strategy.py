@@ -13,6 +13,7 @@ it acts with.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -89,20 +90,35 @@ class CustomLinear:
     def prepare(self, model: TeamModel) -> Prepared:
         return Prepared(self, *precompute_filters(model), None)
 
+    @functools.cached_property
+    def _live(self) -> tuple[tuple[bool, bool], ...]:
+        """Per action stage, whether ``psi`` and ``omega`` have a nonzero
+        entry."""
+        return tuple(zip(np.any(self.psi, axis=(1, 2)).tolist(),
+                         np.any(self.omega, axis=(1, 2)).tolist()))
+
     def act(self, t: int, delta: np.ndarray, agg: np.ndarray, y: np.ndarray,
-            alpha: np.ndarray) -> np.ndarray:
+            model: TeamModel) -> np.ndarray:
         """Actions (B, d_u, n) at action stage t from a batch of updated
         estimates ``delta`` (B, d_x, n), ``agg`` (B, d_x) or one planned
         (d_x,) row, and current observations ``y`` (B, d_y, n).
 
         Arrays are agent-last; the shared terms ``phi z + omega y_bar``
-        broadcast along the agent axis, scaled by ``alpha``."""
-        combined = delta + agg[..., None] * alpha
-        y_bar = y @ alpha / alpha.shape[0]
-        shared = _matvec(self.phi[t], agg) + _matvec(self.omega[t], y_bar)
+        broadcast along the agent axis, scaled by ``model.alpha_bcast``.
+        A stage whose ``psi`` or ``omega`` is all zero skips that product
+        (and for ``omega`` the average ``y_bar``); on finite values adding
+        zero moves no bit."""
+        scale = model.alpha_bcast
+        live_psi, live_omega = self._live[t]
+        combined = delta + agg[..., None] * scale
+        shared = _matvec(self.phi[t], agg)
+        if live_omega:
+            y_bar = y @ model.alpha / model.dims.n
+            shared = shared + _matvec(self.omega[t], y_bar)
         u = self.theta[t] @ combined
-        u += self.psi[t] @ y
-        u += shared[..., None] * alpha
+        if live_psi:
+            u += self.psi[t] @ y
+        u += shared[..., None] * scale
         return u
 
 

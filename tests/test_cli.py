@@ -250,6 +250,7 @@ def test_missing_precomputed_file_is_usage_error(model_file, tmp_path, capsys,
 @pytest.mark.parametrize("flags", [
     ["--precomputed", "PRE"],
     ["--model", "MODEL", "--precomputed", "PRE"],
+    ["--model", "MODEL"],
 ])
 def test_verify_usage_errors_come_before_the_suite(model_file, tmp_path,
                                                    monkeypatch, capsys, flags):

@@ -116,16 +116,60 @@ def test_rollout_is_its_row_of_the_batch():
                                                       field.name))
 
 
-def _coupled_pair_dims_model(n, T):
-    """A coupled d=2 team with correlated noise, resizable to any n."""
+def _coupled_pair_dims_model(n, T, sign=1.0):
+    """A coupled d=2 team with correlated noise and uniform influence
+    ``sign`` (1 or -1), resizable to any n."""
     return make_model(
-        T=T, n=n,
+        T=T, alpha=np.full(n, sign),
         A=[[0.9, 0.2], [-0.1, 0.8]], A_bar=[[0.2, 0.0], [0.1, 0.1]],
         B=np.eye(2), B_bar=0.3 * np.eye(2), C=[[1.0, 0.3], [0.0, 1.0]],
         C_bar=0.4 * np.eye(2), Q=np.eye(2), Q_bar=0.5 * np.eye(2),
         R=np.eye(2), R_bar=0.2 * np.eye(2), mu_x=[1.0, -0.5],
         Sigma_x=[[1.0, 0.3], [0.3, 0.8]], Sigma_w=[[0.5, 0.1], [0.1, 0.4]],
         Sigma_v=[[0.6, -0.2], [-0.2, 0.9]])
+
+
+def _every_output(batch):
+    """A run's outputs as (name, array) pairs, every Trace field included."""
+    yield from ((name, getattr(batch, name)) for name in
+                ("costs", "stage_costs", "ms_correction", "residual_max"))
+    for k, trace in enumerate(batch.traces):
+        for field in fields(Trace):
+            yield f"traces[{k}].{field.name}", getattr(trace, field.name)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("n", [2, 64, 1024])
+def test_uniform_influence_broadcasts_a_scalar_bitwise(monkeypatch, n, sign):
+    """Under uniform influence the shared terms broadcast the float alpha_0;
+    every output is bitwise what broadcasting the alpha vector gives."""
+    model = _coupled_pair_dims_model(n, T=4, sign=sign)
+    assert validate(model).ok
+    assert type(model.alpha_bcast) is float and model.alpha_bcast == sign
+    rng = np.random.default_rng(37)
+    custom = CustomLinear(*(rng.normal(scale=0.3, size=(3, 2, 2))
+                            for _ in range(4)))
+    kinds = (Optimal(), MeanField(), ZeroAction(), custom)
+
+    def runs():
+        return [run_rollouts(model, kind, seed=41, n_rollouts=6,
+                             keep_traces=6) for kind in kinds]
+
+    scalar = runs()
+    monkeypatch.setitem(vars(model), "alpha_bcast", model.alpha)
+    assert model.alpha_bcast is model.alpha
+    vector = runs()
+    for kind, a, b in zip(kinds, scalar, vector):
+        assert len(a.traces) == len(b.traces) == 6
+        for (name, got), (_, want) in zip(_every_output(a), _every_output(b)):
+            np.testing.assert_array_equal(got, want,
+                                          err_msg=f"{kind}: {name}")
+
+
+def test_non_uniform_influence_broadcasts_the_vector():
+    model = random_team(np.random.default_rng(38), n=6)
+    assert np.unique(model.alpha).size > 1
+    assert model.alpha_bcast is model.alpha
 
 
 @pytest.mark.parametrize("kind", [Optimal(), MeanField()])
@@ -249,7 +293,10 @@ def test_fewer_than_one_worker_is_rejected(run, workers):
 
 def test_default_chunk_splits_across_workers_at_large_n(monkeypatch):
     model = _coupled_pair_dims_model(n=1024, T=3)
-    assert sim._default_chunk(model.dims) >= 24
+    # one default chunk's worth: the budgets alone would make one chunk,
+    # so only the worker split can make more
+    rollouts = sim._default_chunk(model.dims)
+    assert rollouts >= 2
     chunked, splits = sim._chunked, []
 
     def spy(total, chunk):
@@ -257,9 +304,10 @@ def test_default_chunk_splits_across_workers_at_large_n(monkeypatch):
         return splits[-1]
 
     monkeypatch.setattr(sim, "_chunked", spy)
-    pooled = run_rollouts(model, Optimal(), seed=23, n_rollouts=24, workers=2)
+    pooled = run_rollouts(model, Optimal(), seed=23, n_rollouts=rollouts,
+                          workers=2)
     assert len(splits[0]) >= 2
-    inline = run_rollouts(model, Optimal(), seed=23, n_rollouts=24)
+    inline = run_rollouts(model, Optimal(), seed=23, n_rollouts=rollouts)
     np.testing.assert_array_equal(inline.costs, pooled.costs)
     np.testing.assert_array_equal(inline.ms_correction, pooled.ms_correction)
 

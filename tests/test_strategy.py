@@ -40,7 +40,7 @@ def test_optimal_action_reference_value(model_s1):
     coeffs = optimal_coefficients(solve_riccati(model_s1), model_s1)
     y = np.array([[2.0], [4.0]])
     delta, agg = _updated_estimates(model_s1, y)
-    u = coeffs.act(0, delta, agg, y.T[None], model_s1.alpha)
+    u = coeffs.act(0, delta, agg, y.T[None], model_s1)
     # estimate is half the observation and the gain is -1/2: u = -y/4
     np.testing.assert_allclose(u[0].T, [[-0.5], [-1.0]])
 
@@ -100,10 +100,39 @@ def test_custom_linear_aggregate_is_publicly_computable():
     )
     y = simulate_truth(model, rng)["y"][0]
     delta, agg = _updated_estimates(model, y)
-    u = kind.act(0, delta, agg, y.T[None], model.alpha)[0].T
+    u = kind.act(0, delta, agg, y.T[None], model)[0].T
     y_bar = model.alpha @ y / model.n
     public = (kind.theta[0] + kind.phi[0]) @ agg[0] + (kind.psi[0] + kind.omega[0]) @ y_bar
     np.testing.assert_allclose(model.alpha @ u / model.n, public, atol=1e-10)
+
+
+def test_zero_psi_omega_stages_act_as_the_full_expression():
+    # stages whose psi or omega is all zero skip that product; the action is
+    # still theta combined + psi y + alpha (phi z + omega y_bar), bit for bit
+    rng = np.random.default_rng(45)
+    model = random_team(rng, n=5, T=5)
+    d = model.dims
+    psi = rng.normal(size=(d.T - 1, d.d_u, d.d_y))
+    omega = rng.normal(size=(d.T - 1, d.d_u, d.d_y))
+    psi[[0, 2]] = 0.0
+    omega[[1, 2]] = 0.0
+    kind = CustomLinear(theta=rng.normal(size=(d.T - 1, d.d_u, d.d_x)),
+                        phi=rng.normal(size=(d.T - 1, d.d_u, d.d_x)),
+                        psi=psi, omega=omega)
+    delta = rng.normal(size=(3, d.d_x, d.n))
+    y = rng.normal(size=(3, d.d_y, d.n))
+    alpha = model.alpha
+    y_bar = y @ alpha / d.n
+    # a batch of filtered aggregates, and one planned row as under mean field
+    for agg in (rng.normal(size=(3, d.d_x)), rng.normal(size=d.d_x)):
+        for t in range(d.T - 1):
+            full = kind.theta[t] @ (delta + agg[..., None] * alpha)
+            full += kind.psi[t] @ y
+            shared = ((kind.phi[t] @ agg[..., None])[..., 0]
+                      + (kind.omega[t] @ y_bar[..., None])[..., 0])
+            full += shared[..., None] * alpha
+            np.testing.assert_array_equal(kind.act(t, delta, agg, y, model),
+                                          full)
 
 
 def test_meanfield_trajectory_reference_values():
