@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 from datetime import datetime, timezone
 
@@ -59,6 +60,20 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set of this process so far, in MiB; ``ru_maxrss`` is
+    in KiB on Linux and in bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
+def _default_workers() -> int:
+    """The CPUs this process may run on, not every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _load_validated_model(path: str) -> TeamModel:
     if not os.path.exists(path):
         raise _UsageError(f"model file not found: {path}")
@@ -89,6 +104,7 @@ def _write_manifest(out_dir: str, command: str, outputs: list[str],
         "outputs": outputs,
     }
     doc.update(fields)
+    doc["peak_rss_mb"] = _peak_rss_mb()
     _write_json(os.path.join(out_dir, "manifest.json"), doc)
 
 
@@ -326,7 +342,7 @@ def build_parser() -> _Parser:
                    help="optimal | meanfield | zero | custom:<file>")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rollouts", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--out", default=".")
     p.add_argument("--record", choices=("costs", "full"), default="costs")
     p.add_argument("--trace-rollouts", type=int, default=10,
@@ -338,7 +354,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rollouts", type=int, default=100_000,
                    help="Monte Carlo rollouts for the cost cross-checks")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--out", default=None)
     p.add_argument("--model", default=None,
                    help="model for the --precomputed round-trip check")
@@ -354,7 +370,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     # the oracle runs at every n; the old cap is accepted and ignored
     p.add_argument("--oracle-cap", type=int, help=argparse.SUPPRESS)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_convergence)
     return parser

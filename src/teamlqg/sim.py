@@ -32,6 +32,10 @@ parent's copy of it; neither it nor the pool machinery is imported until a
 pool is built.  A run's chunks are all queued before its caller waits for
 the first, and a caller with several runs queues them all and then reads
 each, so the workers are not left idle between runs.
+
+The convergence sweep reports its 1/n laws as log-log slopes, each a
+closed-form least-squares fit, so the coordinating process never loads
+``numpy.ma`` or a LAPACK least-squares solver for four points.
 """
 
 from __future__ import annotations
@@ -507,6 +511,8 @@ class ConvergenceRow:
 
     n: int
     max_sigma_bar: float         # largest posterior aggregate-covariance entry
+    own_gain_weight: float       # largest weight of an agent's own innovation
+                                 # in the aggregate estimate
     ms_correction: float         # mean summed squared aggregate-filter update
     cost_gap: float              # paired Monte Carlo mean-field excess cost
     gap_se: float
@@ -520,12 +526,25 @@ class ConvergenceResult:
     slope_correction: float
     slope_gap: float
     slope_exact_gap: float
+    slope_own_gain_weight: float
 
 
 def _log_slope(ns: np.ndarray, values: np.ndarray) -> float:
-    if np.any(values <= 0.0) or np.unique(ns).size < 2:
+    """Least-squares slope of log(values) against log(ns), in closed form:
+    sum (x - x_mean)(y - y_mean) / sum (x - x_mean)^2.
+
+    NaN, with no warning, when there is no point, fewer than two distinct
+    sizes, or a size or value that is not positive and finite.
+    """
+    if not (ns.size and np.isfinite(ns).all() and np.isfinite(values).all()
+            and ns.min() > 0.0 and values.min() > 0.0):
         return float("nan")
-    return float(np.polyfit(np.log(ns), np.log(values), 1)[0])
+    x = np.log(ns)
+    if x.min() == x.max():
+        return float("nan")
+    dx = x - x.mean()
+    y = np.log(values)
+    return float(dx @ (y - y.mean()) / (dx @ dx))
 
 
 def convergence_experiment(model: TeamModel, n_list: tuple[int, ...],
@@ -543,7 +562,12 @@ def convergence_experiment(model: TeamModel, n_list: tuple[int, ...],
     the expected signature.  The exact gap from the oracle is reported at
     every size, since the oracle's cost does not grow with n, with its own
     slope: under uniform influence n * exact_gap is the same at every n, so
-    that slope is -1 up to rounding.
+    that slope is -1 up to rounding.  The weight of an agent's own
+    innovation in the aggregate estimate, max_i |alpha_i| * max_t |L_g[t]|
+    / n, is read from the aggregate filter gains L_g the optimal rule
+    already solved; where those gains do not change with n, its slope is -1
+    up to rounding.  Every slope is a closed-form least-squares fit,
+    ``_log_slope``.
     """
     from .model import resize_team
     from .oracle import exact_cost
@@ -566,6 +590,9 @@ def convergence_experiment(model: TeamModel, n_list: tuple[int, ...],
             rows.append(ConvergenceRow(
                 n=sized.n,
                 max_sigma_bar=float(np.abs(preps[1].glob.Sigma_post).max()),
+                own_gain_weight=float(np.abs(sized.alpha).max()
+                                      * np.abs(preps[1].glob.gain).max()
+                                      / sized.n),
                 ms_correction=float(optimal.ms_correction.mean()),
                 cost_gap=gap,
                 gap_se=se,
@@ -579,6 +606,8 @@ def convergence_experiment(model: TeamModel, n_list: tuple[int, ...],
             ns, np.array([r.ms_correction for r in rows])),
         slope_gap=_log_slope(ns, np.array([r.cost_gap for r in rows])),
         slope_exact_gap=_log_slope(ns, np.array([r.exact_gap for r in rows])),
+        slope_own_gain_weight=_log_slope(
+            ns, np.array([r.own_gain_weight for r in rows])),
     )
 
 

@@ -418,10 +418,12 @@ def test_convergence_subcommand(tmp_path):
 
 
 def test_convergence_summary_holds_the_exact_scaling(tmp_path):
-    """The summary adds n * exact_gap per row and the exact gap's slope;
-    the CSV keeps its columns.  Under uniform influence the exact gap falls
-    exactly as 1/n: measured |slope_exact_gap + 1| on the built-in model
-    from n = 4 to 1024 is 2.8e-13."""
+    """The summary adds n * exact_gap and the own-innovation weight per row,
+    and both their slopes; the CSV keeps its columns.  Under uniform
+    influence the exact gap falls exactly as 1/n: measured
+    |slope_exact_gap + 1| on the built-in model from n = 4 to 1024 is
+    2.8e-13.  The aggregate filter gains are the same at every
+    power-of-two n, so n * own_gain_weight is too."""
     out = tmp_path / "conv"
     assert main(["convergence", "--n-list", "4,128,1024", "--rollouts", "2",
                  "--seed", "1", "--workers", "1", "--out", str(out)]) == 0
@@ -432,6 +434,9 @@ def test_convergence_summary_holds_the_exact_scaling(tmp_path):
     scaled = [row["n_exact_gap"] for row in summary["rows"]]
     assert scaled == [row["n"] * row["exact_gap"] for row in summary["rows"]]
     np.testing.assert_allclose(scaled, scaled[0], rtol=1e-11)
+    weights = [row["n"] * row["own_gain_weight"] for row in summary["rows"]]
+    assert weights == [weights[0]] * 3 and weights[0] > 0.0
+    assert abs(summary["slope_own_gain_weight"] + 1.0) <= 1e-12
 
 
 def test_convergence_writes_a_slope_it_cannot_fit_as_null(tmp_path, capsys):
@@ -539,6 +544,100 @@ def test_pool_workers_start_with_numpy_random_loaded():
                           text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[True, True]"
+
+
+def test_every_manifest_records_the_peak_rss(model_file, tmp_path):
+    """The manifest holds the coordinating process's peak resident set in
+    MiB, read after the run, so it is at least the peak before the run and
+    at most the peak after it."""
+    import resource
+
+    def peak_mb():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+    pre = tmp_path / "pre"
+    runs = {
+        "precompute": ["--model", model_file, "--out", pre],
+        "simulate": ["--model", model_file, "--rollouts", "8",
+                     "--workers", "1", "--out", tmp_path / "s"],
+        "convergence": ["--n-list", "2,4", "--rollouts", "8",
+                        "--workers", "1", "--out", tmp_path / "c"],
+        "verify": ["--models", "1", "--rollouts", "8", "--workers", "1",
+                   "--model", model_file, "--precomputed", pre,
+                   "--out", tmp_path / "v"],
+    }
+    for command, flags in runs.items():
+        low = peak_mb()
+        assert main([command, *map(str, flags)]) == 0
+        out = Path(flags[flags.index("--out") + 1])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert low <= manifest["peak_rss_mb"] <= peak_mb(), command
+
+
+def test_workers_default_to_the_cpus_this_process_may_use(monkeypatch):
+    """A process limited to one CPU of a larger machine starts one worker
+    by default, not one per CPU of the machine."""
+    from teamlqg.cli import build_parser
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    parser = build_parser()
+    for argv in (["simulate", "--model", "m.json"], ["verify"],
+                 ["convergence"]):
+        assert parser.parse_args(argv).workers == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert build_parser().parse_args(["verify"]).workers == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert build_parser().parse_args(["verify"]).workers == 1
+
+
+def test_commands_load_no_module_once_the_pool_is_built(tmp_path):
+    """Every module a command needs is loaded by importing the CLI and
+    building the pool: running precompute, simulate, convergence and verify
+    adds none to the coordinating process or to a worker.  A convergence
+    slope fitted with ``np.unique`` would load ``numpy.ma`` at the end of
+    the run."""
+    model = tmp_path / "model.json"
+    save_model(scalar_pair_model(A_bar=1.0, Q_bar=1.0), model)
+    pre, out = tmp_path / "pre", tmp_path / "out"
+    runs = [
+        ["precompute", "--model", model, "--out", pre],
+        ["simulate", "--model", model, "--rollouts", "8", "--workers", "2",
+         "--out", out / "s"],
+        ["convergence", "--n-list", "2,4", "--rollouts", "8",
+         "--workers", "2", "--out", out / "c"],
+        ["verify", "--models", "2", "--rollouts", "8", "--workers", "2",
+         "--model", model, "--precomputed", pre, "--out", out / "v"],
+    ]
+    code = (
+        "import contextlib, io, os, sys, time\n"
+        "from teamlqg import cli, sim\n"
+        "def loaded(_):\n"
+        "    time.sleep(0.1)\n"
+        "    return os.getpid(), sorted(sys.modules)\n"
+        "def in_workers():\n"
+        "    seen = {}\n"
+        "    for _ in range(50):\n"
+        "        seen.update(sim._pool_map(loaded, [0, 1], 2))\n"
+        "        if len(seen) == 2:\n"
+        "            return seen\n"
+        "    raise RuntimeError('a worker took no job')\n"
+        "workers = in_workers()\n"
+        "before = set(sys.modules)\n"
+        f"for argv in {[[str(a) for a in run] for run in runs]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    print(argv[0], sorted(set(sys.modules) - before))\n"
+        "for pid, names in in_workers().items():\n"
+        "    print('worker', pid in workers,"
+        " sorted(set(names) - set(workers.get(pid, ()))))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "precompute []", "simulate []", "convergence []", "verify []",
+        "worker True []", "worker True []"]
 
 
 @pytest.mark.parametrize("args", [

@@ -7,8 +7,10 @@ import multiprocessing
 import os
 import signal
 import time
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -656,6 +658,79 @@ def test_exact_gap_at_every_n():
     scaled = np.array([row.n * row.exact_gap for row in res.rows])
     assert np.all(np.isfinite(scaled))
     np.testing.assert_allclose(scaled, scaled[0], rtol=1e-11)
+
+
+def _random_log_fit(rng, ns):
+    """Values c * n^s with log-normal scatter, over a wide range of c."""
+    return (np.exp(rng.uniform(-20.0, 20.0)) * ns ** rng.uniform(-3.0, 1.0)
+            * np.exp(rng.normal(0.0, 0.5, ns.size)))
+
+
+def test_log_slope_matches_polyfit():
+    """The closed-form slope is the least-squares line ``np.polyfit`` fits,
+    over 2-8 sizes in [2, 65536], repeats allowed, spanning at least a
+    factor of 2.  Measured worst gap over 20 000 such fits: 4.5e-14."""
+    rng = np.random.default_rng(2031)
+    fits = 0
+    while fits < 2000:
+        ns = rng.integers(2, 65537, rng.integers(2, 9)).astype(float)
+        if ns.max() < 2.0 * ns.min():
+            continue
+        values = _random_log_fit(rng, ns)
+        expected = np.polyfit(np.log(ns), np.log(values), 1)[0]
+        assert abs(sim._log_slope(ns, values) - expected) <= 1e-12
+        fits += 1
+
+
+def test_log_slope_is_exact_least_squares_on_close_sizes():
+    """Through sizes a few apart the line is ill-conditioned; the closed
+    form still matches the least-squares slope of its float logs, computed
+    in exact rational arithmetic, where ``np.polyfit`` was measured up to
+    3.6e-9 off."""
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        low = rng.integers(2, 65000)
+        ns = rng.integers(low, low + 100, rng.integers(2, 9)).astype(float)
+        if ns.min() == ns.max():
+            continue
+        values = _random_log_fit(rng, ns)
+        x = [Fraction(v) for v in np.log(ns)]
+        y = [Fraction(v) for v in np.log(values)]
+        x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+        exact = float(sum((a - x_mean) * (b - y_mean) for a, b in zip(x, y))
+                      / sum((a - x_mean) ** 2 for a in x))
+        assert sim._log_slope(ns, values) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("ns, values", [
+    ([], []),
+    ([4.0], [1.0]),
+    ([4.0, 4.0], [1.0, 2.0]),
+    ([4.0, 16.0], [1.0, 0.0]),
+    ([4.0, 16.0], [1.0, -1.0]),
+    ([4.0, 16.0], [1.0, np.nan]),
+    ([4.0, 16.0], [1.0, np.inf]),
+    ([4.0, 16.0, np.nan], [1.0, 0.5, 0.25]),
+    ([4.0, 16.0, np.inf], [1.0, 0.5, 0.25]),
+    ([0.0, 16.0], [1.0, 0.5]),
+])
+def test_log_slope_is_nan_without_a_warning(ns, values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slope = sim._log_slope(np.array(ns), np.array(values))
+    assert math.isnan(slope)
+
+
+def test_own_gain_weight_falls_exactly_as_one_over_n():
+    """On the built-in model the aggregate filter's gains are bit-identical
+    at these powers of two, so n * own_gain_weight is equal at every n and
+    its slope is -1."""
+    res = convergence_experiment(benchmark_convergence_model(),
+                                 (4, 64, 1024, 2**16), rollouts=2, seed=0)
+    scaled = [row.n * row.own_gain_weight for row in res.rows]
+    assert scaled == [scaled[0]] * len(scaled)
+    assert scaled[0] > 0.0
+    assert abs(res.slope_own_gain_weight + 1.0) <= 1e-12
 
 
 def test_convergence_reuses_the_paired_optimal_pass():
