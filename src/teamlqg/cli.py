@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .errors import NonFiniteCostError, RiccatiError, SingularInnovationError
 from .filters import precompute_filters, schedule_to_json_dict
-from .model import TeamModel, load_model, validate
+from .model import TeamModel, _alpha_spread, load_model, validate
 from .riccati import solve_riccati
 from .sim import (_mean_se, benchmark_convergence_model, convergence_experiment,
                   run_rollouts)
@@ -74,13 +74,17 @@ def _default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _load_validated_model(path: str) -> TeamModel:
+def _read_model(path: str) -> TeamModel:
     if not os.path.exists(path):
         raise _UsageError(f"model file not found: {path}")
     try:
-        model = load_model(path)
+        return load_model(path)
     except ValueError as exc:
         raise _InvalidError(f"model file rejected: {exc}") from exc
+
+
+def _load_validated_model(path: str) -> TeamModel:
+    model = _read_model(path)
     report = validate(model)
     if not report.ok:
         lines = "\n".join(f"  - {v}" for v in report.violations)
@@ -114,14 +118,7 @@ def _ensure_out(path: str) -> str:
 
 
 def cmd_validate(args) -> int:
-    if not os.path.exists(args.model):
-        raise _UsageError(f"model file not found: {args.model}")
-    try:
-        model = load_model(args.model)
-    except ValueError as exc:
-        print(f"model file rejected: {exc}")
-        return EXIT_INVALID
-    report = validate(model)
+    report = validate(_read_model(args.model))
     if report.ok:
         print("0 violations")
         return EXIT_OK
@@ -281,7 +278,7 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
 def cmd_convergence(args) -> int:
     if args.model:
         model = _load_validated_model(args.model)
-        if not np.allclose(model.alpha, model.alpha[0]):
+        if _alpha_spread(model) > 0.0:
             raise _InvalidError(
                 "convergence experiment needs uniform influence weights")
     else:

@@ -47,6 +47,18 @@ _STAGE_SHAPES = {
 }
 _STAGE_KEYS = tuple(_STAGE_SHAPES)
 _REQUIRED_STAGE_KEYS = ("A", "B", "C", "Q", "R")
+# arrays with no stage axis: what validate() finds there names no stage
+_UNSTAGED = ("mu_x", "Sigma_x", "alpha")
+
+# The spectral invariants validate() checks at every stage: the stacks that
+# must be symmetric (make_model symmetrizes these), then (label, bound) rows
+# on the least eigenvalue of a stack or a sum of two, >= PSD_TOL or > PD_TOL.
+_SYMMETRIC = ("Sigma_x", "Q", "Q_bar", "R", "R_bar", "Sigma_w", "Sigma_v")
+_DEFINITE = (("Sigma_x", PSD_TOL), ("Q", PSD_TOL), ("Q+Q_bar", PSD_TOL), ("R", PD_TOL),
+             ("R+R_bar", PD_TOL), ("Sigma_w", PSD_TOL), ("Sigma_v", PSD_TOL))
+# bound -> (whether a least eigenvalue fails it, the property it names)
+_BOUNDS = {PSD_TOL: (np.less, "positive semidefinite"),
+           PD_TOL: (np.less_equal, "positive definite")}
 
 
 @dataclass(frozen=True)
@@ -176,9 +188,11 @@ def _stack_stage(value, T: int, rows: int, cols: int, name: str) -> np.ndarray:
 
 
 def _symmetrize_in_place(stack: np.ndarray) -> None:
-    """Average away asymmetry that is within tolerance; leave the rest alone."""
+    """Average away asymmetry that is within tolerance; leave the rest alone
+    (a non-finite entry too, silently, for validate() to flag)."""
     flipped = stack.swapaxes(1, 2)
-    near = np.max(np.abs(stack - flipped), axis=(1, 2), initial=0.0) <= SYM_TOL
+    with np.errstate(invalid="ignore"):
+        near = np.max(np.abs(stack - flipped), axis=(1, 2), initial=0.0) <= SYM_TOL
     stack[near] = 0.5 * (stack[near] + flipped[near])
 
 
@@ -253,21 +267,20 @@ def make_model(
         mu = np.asarray(mu_x, dtype=float).reshape(-1).copy()
         if mu.shape != (d_x,):
             raise ValueError(f"mu_x: expected shape {(d_x,)}, got {mu.shape}")
-    sx = _stack_stage(Sigma_x, 1, d_x, d_x, "Sigma_x")
-    sw = _stack_stage(Sigma_w, T, dims.d_w, dims.d_w, "Sigma_w")
-    sv = _stack_stage(Sigma_v, T, dims.d_v, dims.d_v, "Sigma_v")
-    for stack in (stacks["Q"], stacks["Q_bar"], stacks["R"], stacks["R_bar"], sx, sw, sv):
-        _symmetrize_in_place(stack)
+    stacks.update(Sigma_x=_stack_stage(Sigma_x, 1, d_x, d_x, "Sigma_x"),
+                  Sigma_w=_stack_stage(Sigma_w, T, dims.d_w, dims.d_w, "Sigma_w"),
+                  Sigma_v=_stack_stage(Sigma_v, T, dims.d_v, dims.d_v, "Sigma_v"))
+    for key in _SYMMETRIC:
+        _symmetrize_in_place(stacks[key])
+    stacks["Sigma_x"] = stacks["Sigma_x"][0]
+    return TeamModel(dims=dims, **{k: _freeze(v) for k, v in stacks.items()},
+                     mu_x=_freeze(mu), alpha=_freeze(alpha_arr))
 
-    return TeamModel(
-        dims=dims,
-        **{k: _freeze(v) for k, v in stacks.items()},
-        mu_x=_freeze(mu),
-        Sigma_x=_freeze(sx[0]),
-        Sigma_w=_freeze(sw),
-        Sigma_v=_freeze(sv),
-        alpha=_freeze(alpha_arr),
-    )
+
+def _alpha_spread(model: TeamModel) -> float:
+    """|alpha - mean|, or 0 below 1e-13 |alpha|, the rounding of a uniform alpha."""
+    spread = float(np.linalg.norm(model.alpha - model.alpha_mean))
+    return spread if spread > 1e-13 * np.linalg.norm(model.alpha) else 0.0
 
 
 def _chain_pair(model: TeamModel, name: str) -> np.ndarray:
@@ -292,9 +305,24 @@ def resize_team(model: TeamModel, n: int) -> TeamModel:
     )
 
 
-def _min_eig(m: np.ndarray) -> float:
-    sym = 0.5 * (m + m.T)
-    return float(np.linalg.eigvalsh(sym)[0])
+def _stages(model: TeamModel, label: str) -> np.ndarray:
+    """The (stages, rows, cols) stack a table label names, "Q+Q_bar" a sum."""
+    first, *rest = label.split("+")
+    stack = getattr(model, first)
+    for key in rest:
+        stack = stack + getattr(model, key)
+    return stack.reshape((-1,) + stack.shape[-2:])
+
+
+def _by_stage(checks: list[tuple[str, str, np.ndarray]], T: int) -> list[str]:
+    """The messages of (label, what, per-stage failure mask) checks, stage by
+    stage and in check order within one; unstaged arrays come first."""
+    failed = np.zeros((T + 1, len(checks)), dtype=bool)
+    for j, (label, _, mask) in enumerate(checks):
+        rows = slice(0, 1) if label in _UNSTAGED else slice(1, None)
+        failed[rows, j] = mask
+    return [f"{checks[j][0]} {checks[j][1]}" + (f" at t={s}" if s else "")
+            for s, j in np.argwhere(failed).tolist()]
 
 
 def validate(model: TeamModel) -> ValidationReport:
@@ -327,41 +355,27 @@ def validate(model: TeamModel) -> ValidationReport:
         got = getattr(model, key).shape
         if got != want:
             v.append(f"{key}: expected shape {want}, got {got}")
+    if not v:
+        nonfinite = []
+        for key in (*expected, "alpha"):
+            per_stage = getattr(model, key).reshape(1 if key in _UNSTAGED else d.T, -1)
+            nonfinite.append((key, "not finite", ~np.isfinite(per_stage).all(axis=1)))
+        v += _by_stage(nonfinite, d.T)
     if v:
-        # shape problems make the spectral checks below meaningless
+        # a wrong shape or a non-finite entry makes the spectral checks meaningless
         return ValidationReport(tuple(v))
 
-    def check_sym(name: str, m: np.ndarray, t: int | None):
-        where = "" if t is None else f" at t={t + 1}"
-        if np.max(np.abs(m - m.T), initial=0.0) > SYM_TOL:
-            v.append(f"{name} not symmetric{where}")
-
-    def check_psd(name: str, m: np.ndarray, t: int | None):
-        where = "" if t is None else f" at t={t + 1}"
-        if _min_eig(m) < PSD_TOL:
-            v.append(f"{name} not positive semidefinite{where}")
-
-    def check_pd(name: str, m: np.ndarray, t: int | None):
-        where = "" if t is None else f" at t={t + 1}"
-        if _min_eig(m) <= PD_TOL:
-            v.append(f"{name} not positive definite{where}")
-
-    check_sym("Sigma_x", model.Sigma_x, None)
-    check_psd("Sigma_x", model.Sigma_x, None)
-    for t in range(d.T):
-        check_sym("Q", model.Q[t], t)
-        check_sym("Q_bar", model.Q_bar[t], t)
-        check_sym("R", model.R[t], t)
-        check_sym("R_bar", model.R_bar[t], t)
-        check_sym("Sigma_w", model.Sigma_w[t], t)
-        check_sym("Sigma_v", model.Sigma_v[t], t)
-        check_psd("Q", model.Q[t], t)
-        check_psd("Q+Q_bar", model.Q[t] + model.Q_bar[t], t)
-        check_pd("R", model.R[t], t)
-        check_pd("R+R_bar", model.R[t] + model.R_bar[t], t)
-        check_psd("Sigma_w", model.Sigma_w[t], t)
-        check_psd("Sigma_v", model.Sigma_v[t], t)
-    return ValidationReport(tuple(v))
+    checks = []
+    for key in _SYMMETRIC:
+        stack = _stages(model, key)
+        asym = np.max(np.abs(stack - stack.swapaxes(1, 2)), axis=(1, 2), initial=0.0)
+        checks.append((key, "not symmetric", asym > SYM_TOL))
+    for label, bound in _DEFINITE:
+        stack = _stages(model, label)
+        fails, name = _BOUNDS[bound]
+        least = np.linalg.eigvalsh(0.5 * (stack + stack.swapaxes(1, 2)))[:, 0]
+        checks.append((label, f"not {name}", fails(least, bound)))
+    return ValidationReport(tuple(_by_stage(checks, d.T)))
 
 
 def normalize_influence(alpha_raw) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import _checked_gain
-from .model import TeamModel
+from .model import TeamModel, _alpha_spread
 from .strategy import (CustomLinear, Prepared, StrategyKind, ZeroAction,
                        _coefficient_shapes)
 
@@ -101,12 +101,6 @@ class _Team:
             alpha.append(0.0)
             ones.append(0.0)
         return cls(n, np.array(alpha), np.array(ones), np.array(weight))
-
-
-def _alpha_spread(model: TeamModel) -> float:
-    """|alpha - mean|, or 0 below 1e-13 |alpha|, the rounding of a uniform alpha."""
-    spread = float(np.linalg.norm(model.alpha - model.alpha_mean))
-    return spread if spread > 1e-13 * np.linalg.norm(model.alpha) else 0.0
 
 
 def _span_basis(model: TeamModel) -> np.ndarray:

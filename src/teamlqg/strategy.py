@@ -83,9 +83,13 @@ class CustomLinear:
     @classmethod
     def from_json_dict(cls, doc: dict, model: TeamModel) -> "CustomLinear":
         """Read each coefficient in any form ``model._stack_stage`` accepts;
-        an omitted one is zero."""
-        return cls(**{key: _stack_stage(doc.get(key, 0.0), *shape, key)
-                      for key, shape in _coefficient_shapes(model.dims).items()})
+        an omitted one is zero, a non-finite one a ValueError."""
+        coefficients = {key: _stack_stage(doc.get(key, 0.0), *shape, key)
+                        for key, shape in _coefficient_shapes(model.dims).items()}
+        for key, value in coefficients.items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"{key}: not finite")
+        return cls(**coefficients)
 
     def prepare(self, model: TeamModel) -> Prepared:
         return Prepared(self, *precompute_filters(model), None)

@@ -9,7 +9,8 @@ from dataclasses import fields
 
 import numpy as np
 
-from teamlqg.model import TeamModel, make_model, normalize_influence
+from teamlqg.model import (NORMALIZATION_TOL, PD_TOL, PSD_TOL, SYM_TOL, _STAGE_SHAPES,
+                           TeamModel, ValidationReport, make_model, normalize_influence)
 
 
 def simulate_truth(model, rng, action_fn=None):
@@ -408,3 +409,83 @@ def random_team(
         Sigma_w=np.stack([_psd(rng, d_w, floor=0.1) for _ in range(T)]),
         Sigma_v=np.stack([_psd(rng, d_v, floor=0.2) for _ in range(T)]),
     )
+
+
+# ---------------------------------------------------------------------------
+# Model validation, one stage and one matrix at a time
+#
+# The package's validate() before it read one table of invariants over whole
+# stage stacks, kept unchanged as the message-for-message reference on models
+# with finite entries.
+
+
+def _min_eig(m: np.ndarray) -> float:
+    sym = 0.5 * (m + m.T)
+    return float(np.linalg.eigvalsh(sym)[0])
+
+
+def validate(model: TeamModel) -> ValidationReport:
+    """Check every model invariant and report all violations with their stage."""
+    v: list[str] = []
+    d = model.dims
+    if d.n < 2:
+        v.append(f"n must be at least 2, got {d.n}")
+    if d.T < 1:
+        v.append(f"horizon T must be at least 1, got {d.T}")
+    for name in ("d_x", "d_u", "d_y", "d_w", "d_v"):
+        if getattr(d, name) < 1:
+            v.append(f"{name} must be positive")
+
+    if model.alpha.shape != (d.n,):
+        v.append(f"alpha: expected shape {(d.n,)}, got {model.alpha.shape}")
+    else:
+        for i, a in enumerate(model.alpha):
+            if a == 0.0:
+                v.append(f"alpha[{i}] is zero")
+        dev = abs(float(np.sum(model.alpha**2)) / d.n - 1.0)
+        if dev > NORMALIZATION_TOL:
+            v.append(f"alpha normalization violated: |(1/n) sum alpha^2 - 1| = {dev:.3e}")
+
+    expected = {key: (d.T, getattr(d, rows), getattr(d, cols))
+                for key, (rows, cols) in _STAGE_SHAPES.items()}
+    expected.update(mu_x=(d.d_x,), Sigma_x=(d.d_x, d.d_x),
+                    Sigma_w=(d.T, d.d_w, d.d_w), Sigma_v=(d.T, d.d_v, d.d_v))
+    for key, want in expected.items():
+        got = getattr(model, key).shape
+        if got != want:
+            v.append(f"{key}: expected shape {want}, got {got}")
+    if v:
+        # shape problems make the spectral checks below meaningless
+        return ValidationReport(tuple(v))
+
+    def check_sym(name: str, m: np.ndarray, t: int | None):
+        where = "" if t is None else f" at t={t + 1}"
+        if np.max(np.abs(m - m.T), initial=0.0) > SYM_TOL:
+            v.append(f"{name} not symmetric{where}")
+
+    def check_psd(name: str, m: np.ndarray, t: int | None):
+        where = "" if t is None else f" at t={t + 1}"
+        if _min_eig(m) < PSD_TOL:
+            v.append(f"{name} not positive semidefinite{where}")
+
+    def check_pd(name: str, m: np.ndarray, t: int | None):
+        where = "" if t is None else f" at t={t + 1}"
+        if _min_eig(m) <= PD_TOL:
+            v.append(f"{name} not positive definite{where}")
+
+    check_sym("Sigma_x", model.Sigma_x, None)
+    check_psd("Sigma_x", model.Sigma_x, None)
+    for t in range(d.T):
+        check_sym("Q", model.Q[t], t)
+        check_sym("Q_bar", model.Q_bar[t], t)
+        check_sym("R", model.R[t], t)
+        check_sym("R_bar", model.R_bar[t], t)
+        check_sym("Sigma_w", model.Sigma_w[t], t)
+        check_sym("Sigma_v", model.Sigma_v[t], t)
+        check_psd("Q", model.Q[t], t)
+        check_psd("Q+Q_bar", model.Q[t] + model.Q_bar[t], t)
+        check_pd("R", model.R[t], t)
+        check_pd("R+R_bar", model.R[t] + model.R_bar[t], t)
+        check_psd("Sigma_w", model.Sigma_w[t], t)
+        check_psd("Sigma_v", model.Sigma_v[t], t)
+    return ValidationReport(tuple(v))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import teamlqg
-from teamlqg import load_model, make_model, save_model, validate
+from teamlqg import load_model, make_model, save_model, to_json_dict, validate
 from teamlqg.cli import main
 from teamlqg.riccati import RiccatiPass, solve_riccati
 from teamlqg.sim import evaluate_cost, rollout, run_rollouts
@@ -303,17 +303,45 @@ _MODEL_COMMANDS = {
 }
 
 
+# the entry of a valid model document that each problem makes non-finite
+_NON_FINITE = {
+    "nan-Q": (("stages", 0, "Q", 0), 0, float("nan")),
+    "inf-C": (("stages", 1, "C", 0), 0, float("inf")),
+    "nan-alpha": (("alpha",), 1, float("nan")),
+    "nan-mu_x": (("noise", "mu_x"), 0, float("nan")),
+}
+# a violation each invalid model file must report
+_VIOLATION = {
+    "invalid": "R not positive definite at t=1",
+    "nan-Q": "Q not finite at t=1",
+    "inf-C": "C not finite at t=2",
+    "nan-alpha": "alpha not finite",
+    "nan-mu_x": "mu_x not finite",
+}
+
+
 def _write_bad_model(path, problem):
     if problem == "malformed":
         path.write_text("{not json")
     elif problem == "invalid":
         save_model(scalar_pair_model(R=0.0), path)
+    elif problem in _NON_FINITE:
+        doc = to_json_dict(scalar_pair_model())
+        route, index, value = _NON_FINITE[problem]
+        entry = doc
+        for step in route:
+            entry = entry[step]
+        entry[index] = value
+        path.write_text(json.dumps(doc))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("problem, code, first_line", [
     ("missing", 64, "usage error: model file not found: MODEL"),
     ("malformed", 1, "validation failure: model file rejected: MODEL: not valid JSON"),
     ("invalid", 1, "validation failure: model failed validation:"),
+    *[(problem, 1, "validation failure: model failed validation:")
+      for problem in _NON_FINITE],
 ])
 @pytest.mark.parametrize("command", sorted(_MODEL_COMMANDS))
 def test_every_command_reports_a_bad_model_file(tmp_path, capsys, command,
@@ -328,9 +356,9 @@ def test_every_command_reports_a_bad_model_file(tmp_path, capsys, command,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert lines[0].startswith(first_line.replace("MODEL", str(model)))
-    if problem == "invalid":
+    if problem in _VIOLATION:
         assert lines[1:] == [f"  - {v}" for v in validate(load_model(model)).violations]
-        assert "  - R not positive definite at t=1" in lines
+        assert f"  - {_VIOLATION[problem]}" in lines
 
 
 def test_malformed_custom_strategy_file_is_validation_failure(model_file,
@@ -341,6 +369,11 @@ def test_malformed_custom_strategy_file_is_validation_failure(model_file,
                  "--workers", "1", "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(
         f"validation failure: strategy file rejected: {rule}: not valid JSON")
+    rule.write_text(json.dumps({"theta": float("nan")}))
+    assert main(["simulate", "--model", model_file, "--strategy", f"custom:{rule}",
+                 "--workers", "1", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "validation failure: strategy file rejected: theta: not finite\n")
 
 
 def test_argument_parse_error_is_usage_error(model_file, capsys):
@@ -497,13 +530,22 @@ def test_convergence_rejects_bad_n_list(tmp_path):
 
 def test_convergence_rejects_nonuniform_model(tmp_path):
     from teamlqg import make_model, normalize_influence
-    path = tmp_path / "skew.json"
-    save_model(make_model(
-        T=2, n=2, alpha=normalize_influence(np.array([0.5, 1.5])),
-        A=1.0, B=1.0, C=1.0, Q=1.0, R=1.0,
-        Sigma_x=1.0, Sigma_w=1.0, Sigma_v=1.0), path)
-    assert main(["convergence", "--model", str(path),
-                 "--out", str(tmp_path / "conv")]) == 1
+
+    def convergence(raw_alpha) -> int:
+        path = tmp_path / "skew.json"
+        save_model(make_model(
+            T=2, n=2, alpha=normalize_influence(np.array(raw_alpha)),
+            A=1.0, B=1.0, C=1.0, Q=1.0, R=1.0,
+            Sigma_x=1.0, Sigma_w=1.0, Sigma_v=1.0), path)
+        return main(["convergence", "--model", str(path), "--n-list", "2,4",
+                     "--rollouts", "2", "--workers", "1",
+                     "--out", str(tmp_path / "conv")])
+
+    assert convergence([0.5, 1.5]) == 1
+    # uniform is what the oracle takes for uniform: up to rounding, 1e-13 |alpha|
+    assert convergence([1.0 + 1e-9, 1.0 - 2e-9]) == 1
+    assert convergence([1.0, 1.0]) == 0
+    assert convergence([1.0 + 1e-16, 1.0 - 2e-16]) == 0
 
 
 def _child_env() -> dict:

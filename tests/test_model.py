@@ -20,10 +20,11 @@ from teamlqg import (
     validate,
 )
 from teamlqg.filters import schedule_to_json_dict
-from teamlqg.model import NORMALIZATION_TOL
+from teamlqg.model import NORMALIZATION_TOL, PD_TOL, PSD_TOL, SYM_TOL
 from teamlqg.random_models import random_team
 from teamlqg.strategy import CustomLinear
 from conftest import scalar_pair_model
+import reference
 
 
 def test_reference_model_is_clean(model_s1):
@@ -98,6 +99,77 @@ def test_validate_reports_every_wrong_shape_in_field_order(model_s1):
         "Sigma_w: expected shape (2, 1, 1), got (3, 1, 1)",
         "Sigma_v: expected shape (2, 1, 1), got (2, 1, 2)",
     )
+
+
+_SYMMETRIC_FIELDS = ("Sigma_x", "Q", "Q_bar", "R", "R_bar", "Sigma_w", "Sigma_v")
+
+
+def _least_eig(m: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
+
+
+def _perturbed_team(rng, T: int):
+    """A random_team draw with up to four finite defects, many of them at a
+    tolerance's edge: an off-diagonal asymmetry near SYM_TOL, or a stage
+    matrix, or its sum with the coupling matrix, shifted so that its least
+    eigenvalue sits at PSD_TOL, PD_TOL, 0 or well below."""
+    model = random_team(rng, T=T, time_varying=bool(rng.integers(2)))
+    fields = {key: np.array(getattr(model, key)) for key in _SYMMETRIC_FIELDS}
+    stacks = {key: arr.reshape(-1, *arr.shape[-2:]) for key, arr in fields.items()}
+    for _ in range(int(rng.integers(0, 5))):
+        key = _SYMMETRIC_FIELDS[rng.integers(len(_SYMMETRIC_FIELDS))]
+        m = stacks[key]
+        t = int(rng.integers(m.shape[0]))
+        if rng.integers(2):
+            if m.shape[1] > 1:
+                i, j = rng.choice(m.shape[1], 2, replace=False)
+                m[t, i, j] += rng.choice([-1.0, 1.0]) * rng.choice([0.5, 1.0, 2.0, 1e6]) * SYM_TOL
+            continue
+        target = rng.choice([PSD_TOL, PD_TOL, 0.0, -0.5]) + rng.choice([-1e-14, 0.0, 1e-14])
+        if key in ("Q", "R") and rng.integers(2):
+            coupling = stacks[key + "_bar"][t]
+            coupling += (target - _least_eig(m[t] + coupling)) * np.eye(m.shape[1])
+        else:
+            m[t] += (target - _least_eig(m[t])) * np.eye(m.shape[1])
+    alpha = np.array(model.alpha)
+    if rng.integers(8) == 0:
+        alpha[rng.integers(alpha.size)] = 0.0
+    return dataclasses.replace(model, alpha=alpha, **fields)
+
+
+def test_validate_matches_the_per_stage_reference():
+    """Every violation, worded and ordered as the stage-by-stage checks put
+    them, on 500 perturbed finite draws; the draws violate every symmetry
+    and definiteness row."""
+    kinds = {f"{key} not symmetric" for key in _SYMMETRIC_FIELDS} | {
+        f"{label} not positive {word}"
+        for label, word in [("Sigma_x", "semidefinite"), ("Q", "semidefinite"),
+                            ("Q+Q_bar", "semidefinite"), ("R", "definite"),
+                            ("R+R_bar", "definite"), ("Sigma_w", "semidefinite"),
+                            ("Sigma_v", "semidefinite")]}
+    seen = set()
+    flagged = 0
+    for seed in range(500):
+        rng = np.random.default_rng([17, seed])
+        model = _perturbed_team(rng, T=(1, 2, 10, 60, 200)[seed % 5])
+        violations = validate(model).violations
+        assert violations == reference.validate(model).violations, seed
+        seen.update(v.split(" at t=")[0] for v in violations)
+        flagged += bool(violations)
+    assert kinds <= seen
+    assert flagged > 250
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_entries_are_violations_that_skip_the_spectral_checks():
+    nan, inf = float("nan"), float("inf")
+    model = scalar_pair_model(T=3, Q=np.array([[[1.0]], [[1.0]], [[inf]]]),
+                              A=np.array([[[1.0]], [[nan]], [[1.0]]]),
+                              mu_x=nan, R=0.0)
+    assert validate(model).violations == (
+        "mu_x not finite", "A not finite at t=2", "Q not finite at t=3")
+    model = scalar_pair_model(alpha=(1.0, nan), Sigma_x=-inf)
+    assert validate(model).violations == ("Sigma_x not finite", "alpha not finite")
 
 
 def test_normalize_influence_reference_values():
@@ -297,6 +369,7 @@ def test_custom_rule_scalar_fills_one_by_one_slots():
     pytest.param({"phi": [[[0.5]], [[0.5]]]}, "phi", id="stack-count"),
     pytest.param({"psi": [[0.5, 0.5]]}, "psi", id="matrix-shape"),
     pytest.param({"omega": "high"}, "omega", id="not-numeric"),
+    pytest.param({"phi": [[float("nan")]]}, "phi: not finite", id="not-finite"),
 ])
 def test_malformed_custom_rule_names_the_field(doc, field):
     with pytest.raises(ValueError, match=field):
