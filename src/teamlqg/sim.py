@@ -43,7 +43,6 @@ from __future__ import annotations
 import atexit
 import contextlib
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -383,29 +382,24 @@ def _pool(workers: int):
 atexit.register(_pool.cache_clear)
 
 
-def _run_each(fn, jobs: list) -> list:
-    """``fn`` over one message's jobs, in a worker."""
-    return [fn(job) for job in jobs]
-
-
-def _pool_map(fn, jobs, workers: int, batch: int = 1) -> Iterator:
+def _pool_map(fn, jobs, workers: int) -> Iterator:
     """``fn`` over ``jobs``, as an iterator of the results in order.
 
     At one worker each job runs inline when its result is read.  Otherwise
-    every job is sent to the shared pool, ``batch`` jobs per message, before
-    this returns, and reading a result waits for it.  When reading raises,
-    or the iterator is closed, the jobs no worker has started are cancelled.
-    A worker that dies breaks its pool for good, so a broken pool is dropped
+    every job is sent to the shared pool, one job per message, before this
+    returns, and reading a result waits for it.  When reading raises, or the
+    iterator is closed, the jobs no worker has started are cancelled.  A
+    worker that dies breaks its pool for good, so a broken pool is dropped
     and the next call starts a new one.
     """
     if workers <= 1:
         return (fn(job) for job in jobs)
-    results = _pooled(fn, jobs, workers, batch)
+    results = _pooled(fn, jobs, workers)
     next(results)       # sends every job; from here closing cancels them
     return results
 
 
-def _pooled(fn, jobs, workers: int, batch: int):
+def _pooled(fn, jobs, workers: int):
     """``_pool_map``'s pooled form: sends every job on its first step, then
     yields the results in order and cancels what is left when it stops."""
     from concurrent.futures.process import BrokenProcessPool
@@ -413,12 +407,11 @@ def _pooled(fn, jobs, workers: int, batch: int):
     futures = []
     try:
         pool = _pool(workers)
-        jobs = iter(jobs)
-        while part := list(itertools.islice(jobs, batch)):
-            futures.append(pool.submit(_run_each, fn, part))
+        for job in jobs:
+            futures.append(pool.submit(fn, job))
         yield
         for future in futures:
-            yield from future.result()
+            yield future.result()
     except BrokenProcessPool:
         _pool.cache_clear()
         raise

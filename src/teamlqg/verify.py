@@ -9,12 +9,18 @@ must equal its two-block assembly, and the stage-cost split must close.  A
 Monte Carlo section then checks sampled costs against the exact oracle on
 the two built-in scalar reference models.
 
-With more than one worker, each model is checked in the simulator's process
-pool as soon as it is drawn, ``CHECK_BATCH`` models to a message, and the
-Monte Carlo section's chunks are queued behind the checks before the suite
-waits for any result.  Models are drawn in the same order either way, and
-the reported maxima are exact, so they do not depend on the worker count.
-A NaN deviation anywhere makes its maximum NaN and the report not ok.
+Random model ``i`` under seed ``s`` and its rule come from their own
+generator, keyed by ``(s, 0xC0FFEE, i)`` (``suite_model``), so a model is the
+same whatever the model count and can be redrawn alone.  The models are
+checked in index ranges of ``CHECK_BATCH``: each range is one message to the
+simulator's process pool, and the worker that checks a range draws its
+models, so the coordinating process draws and holds none.  The Monte Carlo
+section's chunks are queued behind the ranges before the suite waits for
+any result.  One worker runs the same ranges inline, and the reported
+maxima are exact, so they do not depend on the worker count.  A NaN
+deviation anywhere makes its maximum NaN and the report not ok.  Each
+maximum names the model that set it: the lowest index on ties, the first
+NaN if there is one.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ ESTIMATE_TOL = 1e-9
 COVARIANCE_TOL = 1e-9
 RESIDUAL_TOL = 1e-9
 MC_SIGMA = 5.0
-CHECK_BATCH = 4     # model checks per message to a pool worker
+CHECK_BATCH = 8     # model checks per message to a pool worker
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,11 @@ class VerificationReport:
     max_estimate_deviation: float
     max_covariance_deviation: float
     max_cost_split_residual: float
+    # the index of the random model that set each maximum; None when no
+    # model did (no models, or a Monte Carlo residual above them all)
+    max_estimate_deviation_model: int | None
+    max_covariance_deviation_model: int | None
+    max_cost_split_residual_model: int | None
     mc_checks: tuple[McCheck, ...]
     ok: bool
 
@@ -118,11 +129,14 @@ def check_one_model(model: TeamModel, kind: StrategyKind,
     return est_dev, cov_dev, batch.residual_max
 
 
-def _drawn(rng: np.random.Generator, n_models: int, seed: int):
-    """Each random model with its random rule and check seed, in draw order."""
-    for index in range(n_models):
-        model = random_team(rng)
-        yield model, _random_rule(model, rng), seed + index
+def suite_model(seed: int, index: int) -> tuple[TeamModel, CustomLinear]:
+    """Random model ``index`` of the suite under ``seed``, with its random
+    rule; the suite checks it with ``check_one_model(model, rule, seed +
+    index)``."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence((seed, 0xC0FFEE, index)))
+    model = random_team(rng)
+    return model, _random_rule(model, rng)
 
 
 def _check_job(job) -> tuple[float, float, float]:
@@ -130,17 +144,34 @@ def _check_job(job) -> tuple[float, float, float]:
     return check_one_model(model, kind, seed=seed)
 
 
+def _check_range(job) -> tuple[np.ndarray, np.ndarray]:
+    """Draw and check models ``lo`` to ``hi - 1``: each deviation's maximum
+    over the range and the index of the model that set it (the first NaN,
+    else the first maximum)."""
+    check, seed, lo, hi = job
+    devs = np.array([check((*suite_model(seed, index), seed + index))
+                     for index in range(lo, hi)])
+    return devs.max(axis=0), lo + devs.argmax(axis=0)
+
+
 def run_verification_suite(n_models: int = 100, seed: int = 0,
                            mc_rollouts: int = 100_000,
                            workers: int = 1) -> VerificationReport:
-    """Draw random models, check them against the oracle, sample costs."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
+    """Draw random models, check them against the oracle, sample costs.
+
+    Model ``i`` is ``suite_model(seed, i)``, checked on rollouts seeded
+    ``seed + i``.  The per-model check ``_check_job`` is looked up at each
+    call and sent with every range, so a replacement of it runs in the
+    workers as well as inline.
+    """
     uncoupled, coupled = reference_models()
     kinds = (("zero", ZeroAction()), ("optimal", Optimal()))
+    ranges = [(_check_job, seed, lo, min(lo + CHECK_BATCH, n_models))
+              for lo in range(0, n_models, CHECK_BATCH)]
     # everything is queued before the first wait; an error cancels the rest
     with contextlib.ExitStack() as queued:
         checked = queued.enter_context(contextlib.closing(_pool_map(
-            _check_job, _drawn(rng, n_models, seed), workers, CHECK_BATCH)))
+            _check_range, ranges, workers)))
         sampled = [
             (label, model, queued.enter_context(contextlib.closing(
                 _submit_prepared(model, [_prepare(model, kind)
@@ -149,11 +180,16 @@ def run_verification_suite(n_models: int = 100, seed: int = 0,
             for label, model in (("uncoupled-pair", uncoupled),
                                  ("coupled-pair", coupled))]
 
-        # np.maximum, unlike max(), carries a NaN deviation into the report
-        worst = np.zeros(3)
-        for devs in checked:
-            worst = np.maximum(worst, devs)
+        worst, where = np.zeros(3), [None] * 3
+        if ranges:
+            maxima, indices = map(np.array, zip(*checked))
+            # argmax takes the first NaN, else the first maximum, so the
+            # lowest index sets a tied maximum
+            first = maxima.argmax(axis=0)
+            worst = maxima[first, range(3)]
+            where = [int(i) for i in indices[first, range(3)]]
         est_dev, cov_dev, resid = map(float, worst)
+        est_at, cov_at, resid_at = where
 
         checks = []
         for label, model, parts in sampled:
@@ -168,7 +204,10 @@ def run_verification_suite(n_models: int = 100, seed: int = 0,
                     stderr=stderr,
                     ok=bool(abs(mean - target) <= MC_SIGMA * stderr),
                 ))
-                resid = float(np.maximum(resid, batch.residual_max))
+                # a NaN or larger residual here, after the models, sets the
+                # maximum unless a model's residual is already NaN
+                if not np.isnan(resid) and not batch.residual_max <= resid:
+                    resid, resid_at = float(batch.residual_max), None
 
     ok = (est_dev <= ESTIMATE_TOL and cov_dev <= COVARIANCE_TOL
           and resid <= RESIDUAL_TOL and all(c.ok for c in checks))
@@ -177,6 +216,9 @@ def run_verification_suite(n_models: int = 100, seed: int = 0,
         max_estimate_deviation=est_dev,
         max_covariance_deviation=cov_dev,
         max_cost_split_residual=resid,
+        max_estimate_deviation_model=est_at,
+        max_covariance_deviation_model=cov_at,
+        max_cost_split_residual_model=resid_at,
         mc_checks=tuple(checks),
         ok=ok,
     )

@@ -277,14 +277,21 @@ def test_check_one_model_solves_each_schedule_once(monkeypatch):
 
 
 def test_verification_maxima_match_fresh_schedules():
-    """The suite's maxima equal a loop that runs each model's rollouts, then
+    """The suite's maxima, and the models that set them, equal a loop that
+    draws each model from its own keyed generator, runs its rollouts, then
     solves both schedules afresh and compares covariances stage by stage."""
     seed, mc_rollouts = 5, 50
     report = run_verification_suite(n_models=20, seed=seed,
                                     mc_rollouts=mc_rollouts)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
-    est_dev = cov_dev = resid = 0.0
+    worst = {"est": (0.0, None), "cov": (0.0, None), "resid": (0.0, None)}
+
+    def record(key, value, index):
+        if worst[key][1] is None or value > worst[key][0]:
+            worst[key] = (value, index)
+
     for index in range(20):
+        rng = np.random.default_rng(
+            np.random.SeedSequence((seed, 0xC0FFEE, index)))
         model = random_team(rng)
         kind = _random_rule(model, rng)
         batch = run_rollouts(model, kind, seed=seed + index, n_rollouts=4,
@@ -292,8 +299,8 @@ def test_verification_maxima_match_fresh_schedules():
         trace = batch.traces[0]
         estimates, run = centralized_estimates(model, trace.y, trace.u)
         scale = max(1.0, float(np.abs(estimates).max()))
-        est_dev = max(est_dev, float(np.abs(trace.combined_xhat
-                                            - estimates).max()) / scale)
+        record("est", float(np.abs(trace.combined_xhat
+                                   - estimates).max()) / scale, index)
         local, glob = precompute_local(model), precompute_global(model)
         alpha = _Team.reduced(model).alpha
         for t in range(model.T):
@@ -302,16 +309,21 @@ def test_verification_maxima_match_fresh_schedules():
                 assembled = team_error_covariance(local, glob, alpha, model.n,
                                                   t, phase)
                 denom = max(1.0, float(np.abs(sig).max()))
-                cov_dev = max(cov_dev,
-                              float(np.abs(assembled - sig).max()) / denom)
-        resid = max(resid, batch.residual_max)
+                record("cov", float(np.abs(assembled - sig).max()) / denom,
+                       index)
+        record("resid", batch.residual_max, index)
     for model in reference_models():
         for kind in (ZeroAction(), Optimal()):
-            resid = max(resid, run_rollouts(model, kind, seed=seed,
-                                            n_rollouts=mc_rollouts).residual_max)
-    assert report.max_estimate_deviation == est_dev
-    assert report.max_covariance_deviation == cov_dev
-    assert report.max_cost_split_residual == resid
+            resid = run_rollouts(model, kind, seed=seed,
+                                 n_rollouts=mc_rollouts).residual_max
+            if resid > worst["resid"][0]:
+                worst["resid"] = (resid, None)
+    assert (report.max_estimate_deviation,
+            report.max_estimate_deviation_model) == worst["est"]
+    assert (report.max_covariance_deviation,
+            report.max_covariance_deviation_model) == worst["cov"]
+    assert (report.max_cost_split_residual,
+            report.max_cost_split_residual_model) == worst["resid"]
 
 
 def test_team_error_covariance_of_a_stage_slice_stacks_each_stage():
