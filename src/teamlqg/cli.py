@@ -7,11 +7,14 @@ failure inside a recursion or a non-finite simulated cost, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import resource
 import sys
+from collections.abc import Iterator
 from datetime import datetime, timezone
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -98,23 +101,26 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out_dir: str, command: str, outputs: list[str],
-                    **fields) -> None:
-    doc = {
-        "command": command,
-        "version": __version__,
-        "timestamp_utc": _utc_now(),
-        "out_dir": out_dir,
-        "outputs": outputs,
-    }
-    doc.update(fields)
-    doc["peak_rss_mb"] = _peak_rss_mb()
-    _write_json(os.path.join(out_dir, "manifest.json"), doc)
+def _write_outputs(out_dir: str, command: str, files: dict, **fields) -> None:
+    """Write ``files`` into ``out_dir``, then its ``manifest.json``.
 
-
-def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
+    ``files`` maps each file name to a JSON document (a dict) or to a CSV
+    table, a ``(header, rows)`` pair whose cells are strings or ints; the
+    manifest's ``outputs`` lists the names written.
+    """
+    for name, content in files.items():
+        path = os.path.join(out_dir, name)
+        if isinstance(content, dict):
+            _write_json(path, content)
+            continue
+        header, rows = content
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    _write_json(os.path.join(out_dir, "manifest.json"), dict(
+        fields, command=command, version=__version__, timestamp_utc=_utc_now(),
+        out_dir=out_dir, outputs=sorted(files), peak_rss_mb=_peak_rss_mb()))
 
 
 def cmd_validate(args) -> int:
@@ -141,13 +147,11 @@ def _schedules(model: TeamModel) -> dict[str, dict]:
 
 def cmd_precompute(args) -> int:
     model = _load_validated_model(args.model)
-    out = _ensure_out(args.out)
+    os.makedirs(args.out, exist_ok=True)
     files = _schedules(model)
-    for name, doc in files.items():
-        _write_json(os.path.join(out, name), doc)
-    _write_manifest(out, "precompute", sorted(files),
-                    model=os.path.abspath(args.model))
-    print(f"wrote {', '.join(sorted(files))} to {out}")
+    _write_outputs(args.out, "precompute", files,
+                   model=os.path.abspath(args.model))
+    print(f"wrote {', '.join(sorted(files))} to {args.out}")
     return EXIT_OK
 
 
@@ -165,23 +169,20 @@ def _parse_strategy_arg(text: str, model: TeamModel):
 def cmd_simulate(args) -> int:
     model = _load_validated_model(args.model)
     kind = _parse_strategy_arg(args.strategy, model)
-    out = _ensure_out(args.out)
+    os.makedirs(args.out, exist_ok=True)
     keep = args.trace_rollouts if args.record == "full" else 0
     batch = run_rollouts(model, kind, seed=args.seed, n_rollouts=args.rollouts,
                          workers=args.workers, keep_traces=keep)
-    costs_path = os.path.join(out, "costs.csv")
-    with open(costs_path, "w", encoding="utf-8") as fh:
-        fh.write("rollout,strategy,cost\n")
-        for index, cost in enumerate(batch.costs):
-            fh.write(f"{index},{args.strategy},{_fmt(cost)}\n")
-    outputs = ["costs.csv"]
+    files = {"costs.csv": (
+        ["rollout", "strategy", "cost"],
+        ((index, args.strategy, _fmt(cost))
+         for index, cost in enumerate(batch.costs.tolist())))}
     if keep:
-        _write_trace_csv(os.path.join(out, "trace.csv"), batch.traces)
-        outputs.append("trace.csv")
-    _write_manifest(out, "simulate", sorted(outputs),
-                    model=os.path.abspath(args.model), strategy=args.strategy,
-                    seed=args.seed, rollouts=args.rollouts,
-                    workers=args.workers, record=args.record)
+        files["trace.csv"] = _trace_table(batch.traces)
+    _write_outputs(args.out, "simulate", files,
+                   model=os.path.abspath(args.model), strategy=args.strategy,
+                   seed=args.seed, rollouts=args.rollouts,
+                   workers=args.workers, record=args.record)
     mean, stderr = _mean_se(batch.costs)
     print(f"mean cost {_fmt(mean)} (stderr {_fmt(stderr)}, "
           f"{batch.costs.size} rollouts)")
@@ -189,36 +190,36 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _write_trace_csv(path: str, traces) -> None:
+def _trace_table(traces) -> tuple[list[str], Iterator]:
     """Long-format trace: one row per recorded component.
 
     Stage indices are 1-based; agents are numbered 1..n with -1 marking
     population-aggregate rows; components index into vectors, 1-based.
     """
 
-    def emit(fh, rollout, name, array, aggregate):
-        for t, stage in enumerate(array[:, None] if aggregate else array):
-            for agent, values in enumerate(stage):
-                label = -1 if aggregate else agent + 1
-                for comp, value in enumerate(values.reshape(-1)):
-                    fh.write(f"{rollout},{t + 1},{label},{name},{comp + 1},"
-                             f"{_fmt(value)}\n")
+    def rows(rollout, name, array, aggregate):
+        stages = array[:, None] if aggregate else array  # (t, agent, comp)
+        t, agent, comp = (np.indices(stages.shape) + 1).reshape(3, -1).tolist()
+        return zip(repeat(rollout), t, repeat(-1) if aggregate else agent,
+                   repeat(name), comp, map(_fmt, stages.ravel().tolist()))
 
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("rollout,t,agent,variable,component,value\n")
+    def tables():
         for rollout, trace in enumerate(traces):
-            emit(fh, rollout, "x", trace.x, False)
-            emit(fh, rollout, "u", trace.u, False)
-            emit(fh, rollout, "y", trace.y, False)
-            emit(fh, rollout, "x_bar", trace.x_bar, True)
-            emit(fh, rollout, "u_bar", trace.u_bar, True)
-            emit(fh, rollout, "y_bar", trace.y_bar, True)
-            emit(fh, rollout, "stage_cost", trace.stage_cost[:, None], True)
+            yield rows(rollout, "x", trace.x, False)
+            yield rows(rollout, "u", trace.u, False)
+            yield rows(rollout, "y", trace.y, False)
+            yield rows(rollout, "x_bar", trace.x_bar, True)
+            yield rows(rollout, "u_bar", trace.u_bar, True)
+            yield rows(rollout, "y_bar", trace.y_bar, True)
+            yield rows(rollout, "stage_cost", trace.stage_cost[:, None], True)
             if trace.delta_xhat is not None:
-                emit(fh, rollout, "delta_xhat", trace.delta_xhat, False)
-                emit(fh, rollout, "combined_xhat", trace.combined_xhat, False)
-                emit(fh, rollout, "est_err", trace.est_err, False)
-                emit(fh, rollout, "agg_xhat", trace.agg_xhat, True)
+                yield rows(rollout, "delta_xhat", trace.delta_xhat, False)
+                yield rows(rollout, "combined_xhat", trace.combined_xhat, False)
+                yield rows(rollout, "est_err", trace.est_err, False)
+                yield rows(rollout, "agg_xhat", trace.agg_xhat, True)
+
+    return (["rollout", "t", "agent", "variable", "component", "value"],
+            chain.from_iterable(tables()))
 
 
 def _check_precomputed(model: TeamModel, directory: str) -> bool:
@@ -248,6 +249,8 @@ def cmd_verify(args) -> int:
             raise _UsageError("--precomputed requires --model")
         model = _load_validated_model(args.model)
         roundtrip_ok = _check_precomputed(model, args.precomputed)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     report = run_verification_suite(n_models=args.models, seed=args.seed,
                                     mc_rollouts=args.rollouts,
                                     workers=args.workers)
@@ -256,11 +259,9 @@ def cmd_verify(args) -> int:
         doc["precomputed_roundtrip_ok"] = roundtrip_ok
         doc["ok"] = doc["ok"] and roundtrip_ok
     if args.out:
-        out = _ensure_out(args.out)
-        _write_json(os.path.join(out, "verification.json"), doc)
-        _write_manifest(out, "verify", ["verification.json"],
-                        models=args.models, seed=args.seed,
-                        rollouts=args.rollouts)
+        _write_outputs(args.out, "verify", {"verification.json": doc},
+                       models=args.models, seed=args.seed,
+                       rollouts=args.rollouts)
     print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK if doc["ok"] else EXIT_INVALID
 
@@ -284,17 +285,9 @@ def cmd_convergence(args) -> int:
     else:
         model = benchmark_convergence_model()
     n_list = _parse_n_list(args.n_list)
+    os.makedirs(args.out, exist_ok=True)
     result = convergence_experiment(model, n_list, rollouts=args.rollouts,
                                     seed=args.seed, workers=args.workers)
-    out = _ensure_out(args.out)
-    csv_path = os.path.join(out, "convergence.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("n,max_sigma_bar,ms_correction,cost_gap,gap_se,exact_gap\n")
-        for row in result.rows:
-            fh.write(",".join([
-                str(row.n), _fmt(row.max_sigma_bar), _fmt(row.ms_correction),
-                _fmt(row.cost_gap), _fmt(row.gap_se), _fmt(row.exact_gap),
-            ]) + "\n")
     # a slope that cannot be fit (NaN) is written as null
     slopes = {key: None if np.isnan(value) else value
               for key, value in result.__dict__.items()
@@ -302,13 +295,17 @@ def cmd_convergence(args) -> int:
     summary = dict(slopes, rows=[
         dict(row.__dict__, n_exact_gap=row.n * row.exact_gap)
         for row in result.rows])
-    _write_json(os.path.join(out, "convergence_summary.json"), summary)
-    _write_manifest(out, "convergence",
-                    ["convergence.csv", "convergence_summary.json"],
-                    model=(os.path.abspath(args.model) if args.model
-                           else "builtin:benchmark"),
-                    n_list=list(n_list), seed=args.seed,
-                    rollouts=args.rollouts)
+    columns = ["n", "max_sigma_bar", "ms_correction", "cost_gap", "gap_se",
+               "exact_gap"]
+    table = [[row.n, *(_fmt(getattr(row, key)) for key in columns[1:])]
+             for row in result.rows]
+    _write_outputs(args.out, "convergence",
+                   {"convergence.csv": (columns, table),
+                    "convergence_summary.json": summary},
+                   model=(os.path.abspath(args.model) if args.model
+                          else "builtin:benchmark"),
+                   n_list=list(n_list), seed=args.seed,
+                   rollouts=args.rollouts)
     shown = {key: "undefined" if value is None else _fmt(value)
              for key, value in slopes.items()}
     print(f"slopes: sigma {shown['slope_sigma']}, "

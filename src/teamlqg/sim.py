@@ -44,6 +44,7 @@ import atexit
 import contextlib
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -401,17 +402,19 @@ def _pool_map(fn, jobs, workers: int) -> Iterator:
 
 def _pooled(fn, jobs, workers: int):
     """``_pool_map``'s pooled form: sends every job on its first step, then
-    yields the results in order and cancels what is left when it stops."""
+    yields the results in order and cancels what is left when it stops.
+    Each job's future is dropped as its result is read, so the futures held
+    are those of the jobs not yet read."""
     from concurrent.futures.process import BrokenProcessPool
 
-    futures = []
+    futures = deque()
     try:
         pool = _pool(workers)
         for job in jobs:
             futures.append(pool.submit(fn, job))
         yield
-        for future in futures:
-            yield future.result()
+        while futures:
+            yield futures.popleft().result()
     except BrokenProcessPool:
         _pool.cache_clear()
         raise

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior in temporary directories."""
 
+import csv
 import json
+import math
 import os
 import signal
 import subprocess
@@ -139,6 +141,24 @@ def test_simulate_custom_strategy_file(model_file, tmp_path):
                  "--rollouts", "20", "--workers", "1", "--out", str(out)])
     assert code == 0
     assert (out / "costs.csv").exists()
+
+
+def test_costs_csv_reads_back_a_strategy_holding_a_comma_or_quote(model_file,
+                                                                 tmp_path):
+    rule_dir = tmp_path / 'a,"b"'
+    rule_dir.mkdir()
+    rule = rule_dir / "rule.json"
+    rule.write_text(json.dumps({"theta": -0.4, "phi": -0.1}))
+    strategy = f"custom:{rule}"
+    out = tmp_path / "run"
+    assert main(["simulate", "--model", model_file, "--strategy", strategy,
+                 "--rollouts", "5", "--workers", "1", "--out", str(out)]) == 0
+    with open(out / "costs.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["rollout"] for row in rows] == ["0", "1", "2", "3", "4"]
+    for row in rows:
+        assert row["strategy"] == strategy
+        assert math.isfinite(float(row["cost"]))
 
 
 def test_unobservable_model_is_numerical_failure(tmp_path):
@@ -591,7 +611,8 @@ def test_pool_workers_start_with_numpy_random_loaded():
 def test_every_manifest_records_the_peak_rss(model_file, tmp_path):
     """The manifest holds the coordinating process's peak resident set in
     MiB, read after the run, so it is at least the peak before the run and
-    at most the peak after it."""
+    at most the peak after it.  Its outputs list every other file the
+    command wrote, sorted."""
     import resource
 
     def peak_mb():
@@ -601,7 +622,8 @@ def test_every_manifest_records_the_peak_rss(model_file, tmp_path):
     runs = {
         "precompute": ["--model", model_file, "--out", pre],
         "simulate": ["--model", model_file, "--rollouts", "8",
-                     "--workers", "1", "--out", tmp_path / "s"],
+                     "--workers", "1", "--record", "full",
+                     "--trace-rollouts", "2", "--out", tmp_path / "s"],
         "convergence": ["--n-list", "2,4", "--rollouts", "8",
                         "--workers", "1", "--out", tmp_path / "c"],
         "verify": ["--models", "1", "--rollouts", "8", "--workers", "1",
@@ -614,6 +636,9 @@ def test_every_manifest_records_the_peak_rss(model_file, tmp_path):
         out = Path(flags[flags.index("--out") + 1])
         manifest = json.loads((out / "manifest.json").read_text())
         assert low <= manifest["peak_rss_mb"] <= peak_mb(), command
+        written = sorted(p.name for p in out.iterdir())
+        written.remove("manifest.json")
+        assert manifest["outputs"] == written, command
 
 
 def test_workers_default_to_the_cpus_this_process_may_use(monkeypatch):

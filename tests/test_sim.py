@@ -2,12 +2,14 @@
 
 import contextlib
 import functools
+import gc
 import math
 import multiprocessing
 import os
 import signal
 import time
 import warnings
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from fractions import Fraction
@@ -437,6 +439,40 @@ def test_closing_an_unread_pooled_map_cancels_its_jobs(tmp_path):
     results.close()
     assert list(sim._pool_map(abs, [-4, -5], 2)) == [4, 5]
     assert len(list(tmp_path.iterdir())) < 20
+
+
+def _slow_after_first(index):
+    """Job 0 returns at once, every other job waits a little.  Module
+    level, so the pool's workers can run it."""
+    if index:
+        time.sleep(0.1)
+    return index
+
+
+def test_a_pooled_map_drops_each_future_once_its_result_is_read(monkeypatch):
+    """The coordinator holds the futures of the unread jobs only, so its
+    memory does not grow with the jobs already read."""
+    pool = sim._pool(2)
+    refs = []
+    submit = pool.submit
+
+    def recording(fn, job):
+        future = submit(fn, job)
+        refs.append(weakref.ref(future))
+        return future
+
+    monkeypatch.setattr(pool, "submit", recording)
+    results = sim._pool_map(_slow_after_first, range(40), 2)
+    assert next(results) == 0
+    # the pool's own thread lets go of a job's future just after its result
+    for _ in range(500):
+        gc.collect()
+        if refs[0]() is None:
+            break
+        time.sleep(0.01)
+    assert refs[0]() is None
+    assert not refs[-1]().done()        # the last job is still queued
+    results.close()
 
 
 def _nan_on_seed_4(position, job):
