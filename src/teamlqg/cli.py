@@ -64,8 +64,17 @@ def _utc_now() -> str:
 
 
 def _peak_rss_mb() -> float:
-    """Peak resident set of this process so far, in MiB; ``ru_maxrss`` is
-    in KiB on Linux and in bytes on macOS."""
+    """Peak resident set of this process so far, in MiB.  Linux's ``VmHWM``
+    (KiB) counts this process alone.  ``ru_maxrss``, read where
+    ``/proc/self/status`` gives no ``VmHWM``, can start at the peak of the
+    process that started this one (KiB on Linux, bytes on macOS)."""
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) / 2**10
+    except OSError:
+        pass
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
@@ -156,6 +165,10 @@ def cmd_precompute(args) -> int:
 
 
 def _parse_strategy_arg(text: str, model: TeamModel):
+    if "\r" in text:
+        # csv quotes a newline but not a lone carriage return, which would
+        # split the strategy's costs.csv rows when read back
+        raise _UsageError(f"strategy holds a carriage return: {text!r}")
     try:
         return parse_strategy(text, model)
     except FileNotFoundError as exc:

@@ -59,28 +59,21 @@ def _checked_gain(sigma_pred: np.ndarray, obs: np.ndarray, noise_cov: np.ndarray
                   t: int, labels) -> np.ndarray:
     """Kalman gains of the chains stacked on the leading axis, one label per
     chain; the first chain whose innovation covariance is not finite or
-    numerically singular raises.  All chains are checked at once, and chain
-    by chain only to name the failing one."""
+    numerically singular raises.  One ``eigvalsh`` over the stack decides
+    every chain, with the non-finite ones zeroed first: LAPACK's eigenvalues
+    of a matrix holding a NaN are undefined."""
     cov = obs @ sigma_pred @ obs.swapaxes(-1, -2) + noise_cov
     cov = 0.5 * (cov + cov.swapaxes(-1, -2))
-    if not (np.isfinite(cov).all() and (
-            np.linalg.eigvalsh(cov)[:, 0] > _SINGULAR_REL * np.maximum(
-                np.trace(cov, axis1=-2, axis2=-1), 0.0)).all()):
-        _raise_first_failure(labels, cov, t)
+    finite = np.isfinite(cov).all(axis=(1, 2))
+    clean = np.where(finite[:, None, None], cov, 0.0)
+    passed = finite & (np.linalg.eigvalsh(clean)[:, 0] > _SINGULAR_REL
+                       * np.maximum(np.trace(clean, axis1=-2, axis2=-1), 0.0))
+    if not passed.all():
+        first = int(passed.argmin())
+        problem = "singular" if finite[first] else "not finite"
+        raise SingularInnovationError(
+            f"{labels[first]} innovation covariance is {problem}", t + 1)
     return np.linalg.solve(cov, obs @ sigma_pred).swapaxes(-1, -2)
-
-
-def _raise_first_failure(labels, cov: np.ndarray, t: int) -> None:
-    """Check the innovation covariances chain by chain, in label order, and
-    raise for the first that is not finite or numerically singular."""
-    for label, chain_cov in zip(labels, cov):
-        if not np.isfinite(chain_cov).all():
-            raise SingularInnovationError(
-                f"{label} innovation covariance is not finite", t + 1)
-        eigs = np.linalg.eigvalsh(chain_cov)
-        if eigs[0] <= _SINGULAR_REL * max(np.trace(chain_cov), 0.0):
-            raise SingularInnovationError(
-                f"{label} innovation covariance is singular", t + 1)
 
 
 @np.errstate(over="ignore", invalid="ignore")

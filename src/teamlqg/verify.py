@@ -16,11 +16,12 @@ checked in index ranges of ``CHECK_BATCH``: each range is one message to the
 simulator's process pool, and the worker that checks a range draws its
 models, so the coordinating process draws and holds none.  The Monte Carlo
 section's chunks are queued behind the ranges before the suite waits for
-any result.  One worker runs the same ranges inline, and the reported
-maxima are exact, so they do not depend on the worker count.  A NaN
-deviation anywhere makes its maximum NaN and the report not ok.  Each
-maximum names the model that set it: the lowest index on ties, the first
-NaN if there is one.
+any result.  One worker runs the same ranges inline.  Each range returns
+its models' deviation rows in index order; each Monte Carlo run adds a row
+(0, 0, its cost-split residual) after them.  One argmax over the rows sets
+each maximum and names its model: the first NaN, else the lowest index on
+ties, so a model beats a Monte Carlo run and a NaN anywhere fails the
+report.  The maxima are exact, so they do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -144,14 +145,12 @@ def _check_job(job) -> tuple[float, float, float]:
     return check_one_model(model, kind, seed=seed)
 
 
-def _check_range(job) -> tuple[np.ndarray, np.ndarray]:
-    """Draw and check models ``lo`` to ``hi - 1``: each deviation's maximum
-    over the range and the index of the model that set it (the first NaN,
-    else the first maximum)."""
+def _check_range(job) -> list[tuple[float, float, float]]:
+    """Draw and check models ``lo`` to ``hi - 1``: their deviation rows, in
+    index order."""
     check, seed, lo, hi = job
-    devs = np.array([check((*suite_model(seed, index), seed + index))
-                     for index in range(lo, hi)])
-    return devs.max(axis=0), lo + devs.argmax(axis=0)
+    return [check((*suite_model(seed, index), seed + index))
+            for index in range(lo, hi)]
 
 
 def run_verification_suite(n_models: int = 100, seed: int = 0,
@@ -180,17 +179,7 @@ def run_verification_suite(n_models: int = 100, seed: int = 0,
             for label, model in (("uncoupled-pair", uncoupled),
                                  ("coupled-pair", coupled))]
 
-        worst, where = np.zeros(3), [None] * 3
-        if ranges:
-            maxima, indices = map(np.array, zip(*checked))
-            # argmax takes the first NaN, else the first maximum, so the
-            # lowest index sets a tied maximum
-            first = maxima.argmax(axis=0)
-            worst = maxima[first, range(3)]
-            where = [int(i) for i in indices[first, range(3)]]
-        est_dev, cov_dev, resid = map(float, worst)
-        est_at, cov_at, resid_at = where
-
+        rows = [row for part in checked for row in part]
         checks = []
         for label, model, parts in sampled:
             for (kind_label, kind), batch in zip(kinds,
@@ -204,10 +193,14 @@ def run_verification_suite(n_models: int = 100, seed: int = 0,
                     stderr=stderr,
                     ok=bool(abs(mean - target) <= MC_SIGMA * stderr),
                 ))
-                # a NaN or larger residual here, after the models, sets the
-                # maximum unless a model's residual is already NaN
-                if not np.isnan(resid) and not batch.residual_max <= resid:
-                    resid, resid_at = float(batch.residual_max), None
+                rows.append((0.0, 0.0, batch.residual_max))
+
+    # a row from n_models on is a Monte Carlo run's and names no model
+    rows = np.array(rows)
+    first = rows.argmax(axis=0)
+    est_dev, cov_dev, resid = map(float, rows[first, range(3)])
+    est_at, cov_at, resid_at = (int(i) if i < n_models else None
+                                for i in first)
 
     ok = (est_dev <= ESTIMATE_TOL and cov_dev <= COVARIANCE_TOL
           and resid <= RESIDUAL_TOL and all(c.ok for c in checks))

@@ -1,5 +1,7 @@
-"""Shared fixtures: the two scalar reference models used across the suite."""
+"""Shared fixtures: the two scalar reference models used across the suite,
+and a model whose filter is numerically singular."""
 
+import numpy as np
 import pytest
 
 from teamlqg import make_model
@@ -16,6 +18,15 @@ def scalar_pair_model(**overrides):
     )
     kw.update(overrides)
     return make_model(**kw)
+
+
+def near_singular_model():
+    """A valid model whose innovation covariance is numerically singular but
+    not zero: the second channel sees no state, and its noise variance, 1e-14,
+    lies below 1e-12 times the covariance's trace."""
+    return make_model(T=3, n=3, A=0.9, B=1.0, C=[[1.0], [0.0]], Q=1.0, R=1.0,
+                      Sigma_x=1.0, Sigma_w=1.0,
+                      Sigma_v=np.diag([1.0, 1e-14]))
 
 
 @pytest.fixture

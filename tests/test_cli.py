@@ -19,7 +19,7 @@ from teamlqg.riccati import RiccatiPass, solve_riccati
 from teamlqg.sim import evaluate_cost, rollout, run_rollouts
 from teamlqg.strategy import Optimal
 
-from conftest import scalar_pair_model
+from conftest import near_singular_model, scalar_pair_model
 
 
 @pytest.fixture
@@ -145,7 +145,7 @@ def test_simulate_custom_strategy_file(model_file, tmp_path):
 
 def test_costs_csv_reads_back_a_strategy_holding_a_comma_or_quote(model_file,
                                                                  tmp_path):
-    rule_dir = tmp_path / 'a,"b"'
+    rule_dir = tmp_path / 'a,"b"\nc'
     rule_dir.mkdir()
     rule = rule_dir / "rule.json"
     rule.write_text(json.dumps({"theta": -0.4, "phi": -0.1}))
@@ -161,11 +161,35 @@ def test_costs_csv_reads_back_a_strategy_holding_a_comma_or_quote(model_file,
         assert math.isfinite(float(row["cost"]))
 
 
-def test_unobservable_model_is_numerical_failure(tmp_path):
-    path = tmp_path / "blind.json"
-    save_model(scalar_pair_model(C=0.0, S=0.0), path)
-    assert main(["precompute", "--model", str(path),
-                 "--out", str(tmp_path / "pre")]) == 2
+def test_a_strategy_holding_a_carriage_return_is_a_usage_error(model_file,
+                                                               tmp_path):
+    """csv quotes a newline but not a lone carriage return, which would
+    split a costs.csv row in two, so such a strategy is refused before
+    --out is made."""
+    rule_dir = tmp_path / "a\rb"
+    rule_dir.mkdir()
+    rule = rule_dir / "rule.json"
+    rule.write_text(json.dumps({"theta": -0.4}))
+    out = tmp_path / "run"
+    assert main(["simulate", "--model", model_file, "--strategy",
+                 f"custom:{rule}", "--workers", "1", "--out", str(out)]) == 64
+    assert not out.exists()
+
+
+def test_unobservable_model_is_numerical_failure(tmp_path, capsys):
+    # a dead channel, and one whose noise variance lies below the relative
+    # singularity threshold though it is not zero
+    for name, model in (("blind", scalar_pair_model(C=0.0, S=0.0)),
+                        ("near", near_singular_model())):
+        path = tmp_path / f"{name}.json"
+        save_model(model, path)
+        out = tmp_path / name
+        assert main(["precompute", "--model", str(path),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("numerical failure: deviation "
+                                           "innovation covariance is "
+                                           "singular at t=1\n")
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -610,13 +634,10 @@ def test_pool_workers_start_with_numpy_random_loaded():
 
 def test_every_manifest_records_the_peak_rss(model_file, tmp_path):
     """The manifest holds the coordinating process's peak resident set in
-    MiB, read after the run, so it is at least the peak before the run and
-    at most the peak after it.  Its outputs list every other file the
-    command wrote, sorted."""
-    import resource
-
-    def peak_mb():
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    MiB, read after the run, so it is at least the same reading before the
+    run and at most the same reading after it.  Its outputs list every other
+    file the command wrote, sorted."""
+    from teamlqg.cli import _peak_rss_mb as peak_mb
 
     pre = tmp_path / "pre"
     runs = {
@@ -639,6 +660,25 @@ def test_every_manifest_records_the_peak_rss(model_file, tmp_path):
         written = sorted(p.name for p in out.iterdir())
         written.remove("manifest.json")
         assert manifest["outputs"] == written, command
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="VmHWM is read from Linux's /proc")
+def test_a_manifest_peak_is_not_the_launchers(model_file, tmp_path):
+    """A command started by a process with a larger peak records its own:
+    a child that subprocess starts by vfork inherits its parent's
+    ``ru_maxrss``, but not its ``VmHWM``."""
+    from teamlqg.cli import _peak_rss_mb
+
+    ballast = np.ones(2**23)        # 64 MiB, touched
+    out = tmp_path / "pre"
+    proc = subprocess.run([sys.executable, "-m", "teamlqg.cli", "precompute",
+                           "--model", model_file, "--out", str(out)],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["peak_rss_mb"] < _peak_rss_mb() - ballast.nbytes / 2**21
 
 
 def test_workers_default_to_the_cpus_this_process_may_use(monkeypatch):

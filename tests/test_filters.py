@@ -24,7 +24,7 @@ from teamlqg.oracle import exact_cost
 from teamlqg.random_models import random_team
 from teamlqg.sim import run_rollouts
 from teamlqg.strategy import MeanField
-from conftest import scalar_pair_model
+from conftest import near_singular_model, scalar_pair_model
 from reference import (
     direct_estimate_recursion,
     run_decentralized_filters,
@@ -196,8 +196,10 @@ def test_certain_prior_stays_certain():
     assert np.all(sched.Sigma_post == 0.0)
 
 
-def test_dead_observation_model_raises():
-    model = scalar_pair_model(C=0.0, S=0.0)
+@pytest.mark.parametrize("model", [scalar_pair_model(C=0.0, S=0.0),
+                                   near_singular_model()],
+                         ids=["dead", "near-singular"])
+def test_singular_observation_model_raises(model):
     with pytest.raises(SingularInnovationError) as err:
         precompute_local(model)
     assert err.value.t == 1

@@ -490,16 +490,38 @@ def _nan_on_seed_4(position, job):
 @pytest.mark.parametrize("position", [0, 1, 2])
 def test_verification_reports_a_nan_deviation(monkeypatch, position, workers):
     """A NaN estimate, covariance or cost-split deviation of one model is
-    reported as NaN and fails the suite."""
+    reported as NaN, names that model and fails the suite; a NaN residual
+    beats the Monte Carlo runs' finite ones."""
     monkeypatch.setattr(verify, "_check_job",
                         functools.partial(_nan_on_seed_4, position))
     report = run_verification_suite(n_models=3, seed=3, mc_rollouts=200,
                                     workers=workers)
     maxima = [report.max_estimate_deviation, report.max_covariance_deviation,
               report.max_cost_split_residual]
+    where = [report.max_estimate_deviation_model,
+             report.max_covariance_deviation_model,
+             report.max_cost_split_residual_model]
     assert math.isnan(maxima.pop(position))
+    assert where[position] == 1
     assert all(math.isfinite(value) for value in maxima)
     assert not report.ok
+
+
+def test_verification_of_no_models_reports_the_monte_carlo_residual():
+    """With no models, the estimate and covariance maxima are 0 and set by
+    no model, and the residual is the largest Monte Carlo run's."""
+    report = run_verification_suite(n_models=0, seed=3, mc_rollouts=200)
+    residuals = []
+    for model in reference_models():
+        for kind in (ZeroAction(), Optimal()):
+            residuals.append(run_rollouts(model, kind, seed=3,
+                                          n_rollouts=200).residual_max)
+    assert (report.max_estimate_deviation,
+            report.max_covariance_deviation) == (0.0, 0.0)
+    assert report.max_cost_split_residual == max(residuals) > 0.0
+    assert (report.max_estimate_deviation_model,
+            report.max_covariance_deviation_model,
+            report.max_cost_split_residual_model) == (None, None, None)
 
 
 def _tied_then_nan(job):

@@ -11,6 +11,7 @@ from teamlqg.filters import (
     prior_estimates,
     update_estimates,
 )
+from teamlqg.oracle import _closed_loop, _Team
 from teamlqg.random_models import random_team
 from teamlqg.riccati import solve_riccati
 from teamlqg.sim import rollout
@@ -145,6 +146,30 @@ def test_meanfield_trajectory_reference_values():
     plan2 = meanfield_trajectory(coupled, solve_riccati(coupled))
     np.testing.assert_allclose(plan2.mean[:, 0], [1.0, 2.0 / 3.0])
     np.testing.assert_allclose(plan2.u_bar[:, 0], [-4.0 / 3.0])
+
+
+def test_meanfield_plan_is_the_expected_aggregate_under_optimal():
+    """The plan is E[x-bar_t] under the optimal rule: the oracle's mean pass
+    m <- F[t] m + f[t] over the closed loop on the reduced team, averaged
+    with the influence weights.  The draws have non-uniform influence and a
+    nonzero prior mean, so a plan started at mu_x, not at its influence-
+    weighted average, fails."""
+    rng = np.random.default_rng(16)
+    for _ in range(30):
+        model = random_team(rng)
+        plan = meanfield_trajectory(model, solve_riccati(model))
+        team = _Team.reduced(model)
+        loop = _closed_loop(model, Optimal().prepare(model), team)
+        states = team.size * model.dims.d_x
+        m, expected = loop.m0, []
+        for t in range(model.T):
+            if t:
+                m = loop.F[t - 1] @ m + loop.f[t - 1]
+            expected.append(team.alpha @ m[:states].reshape(team.size, -1)
+                            / team.n)
+        expected = np.array(expected)
+        assert (np.abs(plan.mean - expected).max()
+                <= 1e-12 * np.abs(expected).max())
 
 
 def test_meanfield_equals_optimal_without_coupling():
