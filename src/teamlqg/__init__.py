@@ -22,7 +22,6 @@ from .model import (
 from .riccati import RiccatiPass, solve_riccati
 from .filters import (
     FilterSchedule,
-    combined_agent_estimate,
     precompute_filters,
     precompute_global,
     precompute_local,

@@ -35,8 +35,10 @@ EXIT_USAGE = 64
 
 _NUMERICAL_ERRORS = (RiccatiError, SingularInnovationError, NonFiniteCostError)
 
-# the smallest value of each count flag, checked before any work
+# the smallest value of each count flag, checked before any work; verify's
+# Monte Carlo checks each need a standard error, so two rollouts at least
 _MINIMUM_COUNTS = {"rollouts": 1, "models": 0, "trace_rollouts": 0, "workers": 1}
+_COMMAND_MINIMUMS = {"verify": {"rollouts": 2}}
 
 
 class _UsageError(Exception):
@@ -387,7 +389,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for name, low in _MINIMUM_COUNTS.items():
+        for name, low in {**_MINIMUM_COUNTS,
+                          **_COMMAND_MINIMUMS.get(args.command, {})}.items():
             if getattr(args, name, low) < low:
                 flag = "--" + name.replace("_", "-")
                 raise _UsageError(f"{flag} must be at least {low}")

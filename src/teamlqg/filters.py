@@ -12,18 +12,18 @@ Both schedules (covariances and gains, one ``FilterSchedule`` each) come
 from one forward covariance recursion, the dual of the backward Riccati
 pass in ``riccati``, over a leading chain axis: the deviation chain on the
 local matrices with noise divisor 1, the aggregate chain on the coupled
-sums with every noise covariance divided by n.  ``precompute_filters`` runs
-both chains in one pass, ``precompute_local``/``precompute_global`` one
-alone.  They depend only on the model, so they are precomputed once.
-Stepping is cheap linear algebra on top, batched over
-rollouts along a leading axis; the simulator and a single hand-driven
-trajectory use the same update and predict functions.  Stepping arrays are
-agent-last, ``(B, d, n)``: a stage matrix applies as ``M @ x``, an influence
-average is ``x @ alpha / n``, and ``alpha_i * z`` broadcasts along the
-contiguous agent axis as ``z * model.alpha_bcast``, a product not built n
-wide under uniform influence.  Aggregate rows ``(B, d)`` take a stage matrix
-through ``_matvec``, one product per row, so a rollout rounds alike in any
-batch.
+sums with every noise covariance divided by n; both read their stacks from
+``TeamModel.chains``.  ``precompute_filters`` runs both chains in one pass,
+``precompute_local``/``precompute_global`` one alone.  They depend only on
+the model, so they are precomputed once.  Stepping is cheap linear algebra
+on top, batched over rollouts along a leading axis; the simulator and a
+single hand-driven trajectory use the same update and predict functions.
+Stepping arrays are agent-last, ``(B, d, n)``: a stage matrix applies as
+``M @ x``, an influence average is ``x @ alpha / n``, and ``alpha_i * z``
+broadcasts along the contiguous agent axis as ``z * model.alpha_bcast``, a
+product not built n wide under uniform influence.  Aggregate rows ``(B, d)``
+take a stage matrix through ``_matvec``, one product per row, so a rollout
+rounds alike in any batch.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularInnovationError
-from .model import TeamModel, _chain_pair
+from .model import TeamModel
 
 _SINGULAR_REL = 1e-12
 
@@ -81,7 +81,7 @@ def _forward_chain(model: TeamModel, labels: tuple[str, ...]) -> list[FilterSche
     """The schedules of the chains named in ``labels``, from one pass over a
     leading chain axis."""
     pick = [("deviation", "aggregate").index(label) for label in labels]
-    A, E, C, S = (_chain_pair(model, name)[pick] for name in "AECS")
+    A, E, C, S = (model.chains[name][pick] for name in "AECS")
     n = np.array([1.0, model.dims.n])[pick, None, None]
     T, d_x = model.dims.T, model.dims.d_x
     sigma_pred = np.zeros((len(pick), T, d_x, d_x))
@@ -166,9 +166,8 @@ def update_estimates(
     """
     alpha, scale = model.alpha, model.alpha_bcast
     n = alpha.shape[0]
-    C_all = model.C[t] + model.C_bar[t]
     raw = y - model.C[t] @ delta
-    raw -= _matvec(C_all, agg)[..., None] * scale
+    raw -= _matvec(model.chains["C"][1, t], agg)[..., None] * scale
     if glob is None:
         return delta + local.gain[t] @ raw, agg, None
     agg_innov = raw @ alpha / n
@@ -194,19 +193,9 @@ def predict_estimates(
     """
     dev_u = u - u_bar[..., None] * model.alpha_bcast
     delta = model.A[t] @ delta + model.B[t] @ dev_u
-    agg = (_matvec(model.A[t] + model.A_bar[t], agg)
-           + _matvec(model.B[t] + model.B_bar[t], u_bar))
+    agg = (_matvec(model.chains["A"][1, t], agg)
+           + _matvec(model.chains["B"][1, t], u_bar))
     return delta, agg
-
-
-def combined_agent_estimate(delta_xhat, agg_xhat, alpha):
-    """Per-agent state estimate ``delta + alpha * aggregate``.
-
-    Accepts a single deviation row with a scalar influence factor, or the
-    full (n, d_x) stack with the influence vector.
-    """
-    return np.asarray(delta_xhat, dtype=float) + np.multiply.outer(
-        np.asarray(alpha, dtype=float), np.asarray(agg_xhat, dtype=float))
 
 
 def team_error_covariance(

@@ -6,6 +6,8 @@ A model is a set of per-stage matrix stacks: plain matrices for an agent's
 own dynamics, sensing, and costs, ``_bar`` matrices that couple it to the
 averages.  ``_stack_stage`` is the one reader of such stacks; ``make_model``,
 the model JSON reader, and ``CustomLinear.from_json_dict`` all go through it.
+``TeamModel.chains`` is the one place that forms the aggregate chain's
+coupled sums X + X_bar, which the solvers and the stepping kernel read.
 
 Time is handled 0-based in code (stage index ``t`` runs over ``range(T)``);
 human-facing output such as validation messages and serialized schedules uses
@@ -132,6 +134,15 @@ class TeamModel:
         if alpha.size and (alpha == alpha[0]).all():
             return float(alpha[0])
         return alpha
+
+    @functools.cached_property
+    def chains(self) -> dict[str, np.ndarray]:
+        """Stage stacks of both chains, (2, T, rows, cols) for each of A, B,
+        C, E, Q, R and S: the deviation chain's X, then the aggregate chain's
+        coupled sum X + X_bar.  Formed once per model; read-only."""
+        return {key: _freeze(np.stack([getattr(self, key), getattr(self, key)
+                                       + getattr(self, key + "_bar")]))
+                for key in "ABCEQRS"}
 
 
 @dataclass(frozen=True)
@@ -283,13 +294,6 @@ def _alpha_spread(model: TeamModel) -> float:
     return spread if spread > 1e-13 * np.linalg.norm(model.alpha) else 0.0
 
 
-def _chain_pair(model: TeamModel, name: str) -> np.ndarray:
-    """Stage stack ``name`` of both chains, (2, T, rows, cols): the
-    deviation chain's X, then the aggregate chain's coupled sum X + X_bar."""
-    own = getattr(model, name)
-    return np.stack([own, own + getattr(model, name + "_bar")])
-
-
 def resize_team(model: TeamModel, n: int) -> TeamModel:
     """Rebuild the model for a population of n agents with homogeneous influence."""
     if n < 2:
@@ -306,11 +310,10 @@ def resize_team(model: TeamModel, n: int) -> TeamModel:
 
 
 def _stages(model: TeamModel, label: str) -> np.ndarray:
-    """The (stages, rows, cols) stack a table label names, "Q+Q_bar" a sum."""
-    first, *rest = label.split("+")
-    stack = getattr(model, first)
-    for key in rest:
-        stack = stack + getattr(model, key)
+    """The (stages, rows, cols) stack a table label names, "Q+Q_bar" the
+    aggregate chain's."""
+    key = label.split("+")[0]
+    stack = model.chains[key][1] if "+" in label else getattr(model, key)
     return stack.reshape((-1,) + stack.shape[-2:])
 
 

@@ -2,11 +2,12 @@
 
 Both recursions are standard finite-horizon LQR passes.  The deviation chain
 runs on the local matrices (A, B, Q, R); the aggregate chain runs on the
-coupled sums (A + A_bar, B + B_bar, Q + Q_bar, R + R_bar).  Neither depends
-on the population size or the influence vector, so one pass serves every
-agent and every team size.  The chains run as one pass over a leading
-chain axis, each stage checked for all chains by one factorization; a
-failing stage names its first failing chain, deviation first.
+coupled sums (A + A_bar, B + B_bar, Q + Q_bar, R + R_bar), both read from
+``TeamModel.chains``.  Neither depends on the population size or the
+influence vector, so one pass serves every agent and every team size.  The
+chains run as one pass over a leading chain axis, each stage checked for
+all chains by one factorization; a failing stage names its first failing
+chain, deviation first.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RiccatiError
-from .model import TeamModel, _chain_pair
+from .model import TeamModel
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,6 @@ def _backward_chain(A, B, Q, R, labels) -> tuple[np.ndarray, np.ndarray]:
 
 def solve_riccati(model: TeamModel) -> RiccatiPass:
     """Run both backward passes and return value matrices with feedback gains."""
-    P, gain = _backward_chain(*(_chain_pair(model, name) for name in "ABQR"),
+    P, gain = _backward_chain(*(model.chains[name] for name in "ABQR"),
                               ("deviation", "aggregate"))
     return RiccatiPass(P=P[0], P_agg=P[1], gain=gain[0], gain_agg=gain[1])

@@ -255,14 +255,14 @@ def _run_batch(model: TeamModel, prep: Prepared, bank: dict,
             u_bar = u @ alpha / n
 
         # stage cost two ways
-        Q, Q_bar = model.Q[t], model.Q_bar[t]
-        direct = _quad_each(x, Q) + _quad(x_bar, Q_bar)
-        split = _quad(x_bar, Q + Q_bar) \
+        Q = model.Q[t]
+        direct = _quad_each(x, Q) + _quad(x_bar, model.Q_bar[t])
+        split = _quad(x_bar, model.chains["Q"][1, t]) \
             + _quad_each(x - x_bar[..., None] * scale, Q)
         if not last:
-            R, R_bar = model.R[t], model.R_bar[t]
-            direct += _quad_each(u, R) + _quad(u_bar, R_bar)
-            split += _quad(u_bar, R + R_bar) \
+            R = model.R[t]
+            direct += _quad_each(u, R) + _quad(u_bar, model.R_bar[t])
+            split += _quad(u_bar, model.chains["R"][1, t]) \
                 + _quad_each(u - u_bar[..., None] * scale, R)
         residual_max = float(np.maximum(residual_max, (
             np.abs(direct - split) / np.maximum(1.0, np.abs(direct))).max()))

@@ -186,10 +186,9 @@ def meanfield_trajectory(model: TeamModel, gains: RiccatiPass) -> MeanFieldPlan:
     d = model.dims
     mean = np.zeros((d.T, d.d_x))
     u_bar = np.zeros((max(d.T - 1, 0), d.d_u))
+    A_all, B_all = model.chains["A"][1], model.chains["B"][1]
     mean[0] = model.alpha_mean * model.mu_x
     for t in range(d.T - 1):
         u_bar[t] = gains.gain_agg[t] @ mean[t]
-        A_all = model.A[t] + model.A_bar[t]
-        B_all = model.B[t] + model.B_bar[t]
-        mean[t + 1] = A_all @ mean[t] + B_all @ u_bar[t]
+        mean[t + 1] = A_all[t] @ mean[t] + B_all[t] @ u_bar[t]
     return MeanFieldPlan(mean=mean, u_bar=u_bar)

@@ -318,6 +318,7 @@ def test_verify_usage_errors_come_before_the_suite(model_file, tmp_path,
     ("simulate", ["--model", "MODEL", "--workers", "0"]),
     ("verify", ["--workers", "0"]),
     ("convergence", ["--workers", "-2"]),
+    ("verify", ["--rollouts", "1"]),
 ])
 def test_bad_counts_are_usage_errors_before_any_work(model_file, tmp_path,
                                                      monkeypatch, capsys,

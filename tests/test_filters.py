@@ -11,7 +11,6 @@ import pytest
 from teamlqg import SingularInnovationError, make_model, normalize_influence, resize_team
 from teamlqg.filters import (
     FilterSchedule,
-    combined_agent_estimate,
     precompute_filters,
     precompute_global,
     precompute_local,
@@ -101,7 +100,7 @@ def test_first_update_reference_values(model_s1):
     np.testing.assert_allclose(delta[0], [[-0.5], [0.5]])
     np.testing.assert_allclose(agg[0], [1.5])
     # uncoupled scalar team: the combined estimate is the standalone filter 0.5 y
-    combined = combined_agent_estimate(delta[0], agg[0], model_s1.alpha)
+    combined = delta[0] + model_s1.alpha[:, None] * agg[0]
     np.testing.assert_allclose(combined, [[1.0], [2.0]])
 
 
@@ -145,7 +144,7 @@ def test_combined_estimate_matches_direct_recursion():
         direct = direct_estimate_recursion(model, local, glob, data["y"], data["u"])
         deltas, aggs = run_decentralized_filters(model, data["y"], data["u"])
         for t in range(model.T):
-            ours = combined_agent_estimate(deltas[t], aggs[t], model.alpha)
+            ours = deltas[t] + model.alpha[:, None] * aggs[t]
             assert np.max(np.abs(ours - direct[t])) <= 1e-10
 
 
@@ -286,7 +285,7 @@ def test_readme_filter_stepping_example():
     trace = names["trace"]
     np.testing.assert_allclose(names["xhat"], trace.combined_xhat[0], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(names["u"][0].T, trace.u[0], rtol=1e-12, atol=1e-12)
-    stage1 = combined_agent_estimate(names["delta"][0].T, names["agg"][0], model.alpha)
+    stage1 = names["delta"][0].T + model.alpha[:, None] * names["agg"][0]
     np.testing.assert_allclose(stage1, trace.combined_xhat[1], rtol=1e-12, atol=1e-12)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -379,6 +380,42 @@ def test_malformed_custom_rule_names_the_field(doc, field):
 def test_model_arrays_are_read_only(model_s1):
     with pytest.raises(ValueError):
         model_s1.A[0, 0, 0] = 2.0
+
+
+_CHAIN_KEYS = ("A", "B", "C", "E", "Q", "R", "S")
+
+
+def _chain_models():
+    rng = np.random.default_rng(2323)
+    draws = [random_team(rng) for _ in range(6)]
+    return draws + [resize_team(draws[0], 1024)]
+
+
+@pytest.mark.parametrize("model", _chain_models())
+def test_chains_are_each_stack_and_its_coupled_sum(model):
+    assert set(model.chains) == set(_CHAIN_KEYS)
+    for key in _CHAIN_KEYS:
+        own, coupling = getattr(model, key), getattr(model, key + "_bar")
+        stack = model.chains[key]
+        assert stack.shape == (2, *own.shape)
+        assert np.array_equal(stack, np.stack([own, own + coupling]))
+        with pytest.raises(ValueError):
+            stack[1, 0, 0, 0] = 2.0
+    # formed once: every read returns the same arrays
+    assert model.chains is model.chains
+
+
+def test_chains_survive_pickling_and_follow_a_replaced_stack():
+    model = random_team(np.random.default_rng(77))
+    before = model.chains
+    clone = pickle.loads(pickle.dumps(model))
+    for key in _CHAIN_KEYS:
+        assert np.array_equal(clone.chains[key], before[key])
+    Q = model.Q + 1.0
+    changed = dataclasses.replace(model, Q=Q)
+    assert changed.chains is not before
+    assert np.array_equal(changed.chains["Q"], np.stack([Q, Q + model.Q_bar]))
+    assert np.array_equal(changed.chains["A"], before["A"])
 
 
 def test_resize_team(model_s2):

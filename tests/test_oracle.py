@@ -8,7 +8,6 @@ import pytest
 
 from teamlqg import SingularInnovationError, make_model, oracle
 from teamlqg.filters import (
-    combined_agent_estimate,
     precompute_global,
     precompute_local,
     team_error_covariance,
@@ -133,7 +132,7 @@ def test_centralized_filter_matches_decentralized_estimates():
         run = centralized_filter(dense_joint_model(model), *_flat(traj))
         joint_means = run.mean_post.reshape(d.T, d.n, d.d_x)
         combined = np.stack([
-            combined_agent_estimate(deltas[t], aggs[t], model.alpha)
+            deltas[t] + model.alpha[:, None] * aggs[t]
             for t in range(d.T)
         ])
         scale = max(1.0, float(np.abs(joint_means).max()))
