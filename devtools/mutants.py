@@ -63,7 +63,7 @@ MUTANTS = (
            "            weight.append(float(n - len(ones)))",
            "            weight.append(float(n - len(ones) + 1))"),
     Mutant("_merge ignores non-finite costs", "src/teamlqg/sim.py",
-           "    bad = int(np.count_nonzero(~np.isfinite(costs)))",
+           "    bad = int(np.count_nonzero(~np.isfinite(merged.costs)))",
            "    bad = 0"),
     Mutant("unweighted aggregate innovation", "src/teamlqg/filters.py",
            "    agg_innov = raw @ alpha / n",
@@ -83,6 +83,12 @@ MUTANTS = (
     Mutant("split cost on the deviation chain's Q", "src/teamlqg/sim.py",
            '        split = _quad(x_bar, model.chains["Q"][1, t]) \\',
            '        split = _quad(x_bar, model.chains["Q"][0, t]) \\'),
+    Mutant("model not frozen by its type", "src/teamlqg/model.py",
+           "            _freeze(getattr(self, f.name))",
+           "            pass"),
+    Mutant("residual blind to the split table", "src/teamlqg/sim.py",
+           "    residual_max = float((np.abs(stage_costs - split_costs)",
+           "    residual_max = float((np.abs(stage_costs - stage_costs)"),
 )
 
 

@@ -83,7 +83,8 @@ class TeamModel:
     Stage matrices are stored stacked over time, e.g. ``A[t]`` is the local
     transition matrix of stage ``t`` (0-based).  ``Sigma_w[T - 1]`` is carried
     for uniform shapes but never used: process noise only drives the T - 1
-    transitions.  Arrays are read-only.
+    transitions.  Array fields are read-only in every process, and a pickle
+    holds the defining fields only: the cached values are formed afresh.
     """
 
     dims: Dimensions
@@ -106,6 +107,13 @@ class TeamModel:
     Sigma_w: np.ndarray
     Sigma_v: np.ndarray
     alpha: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self)[1:]:      # every field after dims is an array
+            _freeze(getattr(self, f.name))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def n(self) -> int:
@@ -284,8 +292,7 @@ def make_model(
     for key in _SYMMETRIC:
         _symmetrize_in_place(stacks[key])
     stacks["Sigma_x"] = stacks["Sigma_x"][0]
-    return TeamModel(dims=dims, **{k: _freeze(v) for k, v in stacks.items()},
-                     mu_x=_freeze(mu), alpha=_freeze(alpha_arr))
+    return TeamModel(dims=dims, **stacks, mu_x=mu, alpha=alpha_arr)
 
 
 def _alpha_spread(model: TeamModel) -> float:

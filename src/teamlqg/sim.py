@@ -84,13 +84,17 @@ class Trace:
 
 @dataclass(frozen=True)
 class RolloutBatch:
-    """Per-rollout outcomes of a run, ordered by rollout index."""
+    """Per-rollout outcomes of a run, ordered by rollout index.  ``costs``
+    is derived from ``stage_costs``, the one stored cost table."""
 
-    costs: np.ndarray            # (B,)
     stage_costs: np.ndarray      # (B, T)
     ms_correction: np.ndarray    # (B,) summed squared aggregate-filter updates
     residual_max: float          # worst relative cost-split residual, NaN-aware
     traces: tuple[Trace, ...]
+
+    @property
+    def costs(self) -> np.ndarray:     # (B,)
+        return self.stage_costs.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -209,11 +213,11 @@ def _run_batch(model: TeamModel, prep: Prepared, bank: dict,
     """Advance a batch of rollouts through the closed loop, vectorized.
 
     Every array is agent-last, (B, d, n).  Each stage runs update, action,
-    cost and predict.  The team cost is computed twice, directly and through
-    the aggregate/deviation split, and the worst relative disagreement is
-    reported as ``residual_max``; a NaN anywhere makes it NaN.  A diverging
-    rollout overflows quietly: its non-finite cost is what ``_merge``
-    reports.
+    cost and predict.  Each stage's cost is stored twice, direct and through
+    the aggregate/deviation split, in two (B, T) tables, and their worst
+    relative disagreement is reported as ``residual_max``; a NaN anywhere
+    makes it NaN.  A diverging rollout overflows quietly: its non-finite
+    cost is what ``_merge`` reports.
     """
     d = model.dims
     n, T = d.n, d.T
@@ -227,8 +231,8 @@ def _run_batch(model: TeamModel, prep: Prepared, bank: dict,
         delta, agg = prior_estimates(model, B)
 
     stage_costs = np.zeros((B, T))
+    split_costs = np.zeros((B, T))
     ms_correction = np.zeros(B)
-    residual_max = 0.0
     hist: dict[str, list] = {key: [] for key in ("x", "u", "y", "delta", "agg")}
 
     for t in range(T):
@@ -264,9 +268,8 @@ def _run_batch(model: TeamModel, prep: Prepared, bank: dict,
             direct += _quad_each(u, R) + _quad(u_bar, model.R_bar[t])
             split += _quad(u_bar, model.chains["R"][1, t]) \
                 + _quad_each(u - u_bar[..., None] * scale, R)
-        residual_max = float(np.maximum(residual_max, (
-            np.abs(direct - split) / np.maximum(1.0, np.abs(direct))).max()))
         stage_costs[:, t] = direct
+        split_costs[:, t] = split
 
         if keep:
             hist["x"].append(x[:keep].copy())
@@ -293,11 +296,12 @@ def _run_batch(model: TeamModel, prep: Prepared, bank: dict,
                     model, t, delta, agg, u,
                     u_bar if plan is None else plan.u_bar[t])
 
+    residual_max = float((np.abs(stage_costs - split_costs)
+                          / np.maximum(1.0, np.abs(stage_costs))).max())
     traces = tuple(_assemble_trace(model, hist, stage_costs, b,
                                    coeffs is not None)
                    for b in range(keep))
     return RolloutBatch(
-        costs=stage_costs.sum(axis=1),
         stage_costs=stage_costs,
         ms_correction=ms_correction,
         residual_max=residual_max,
@@ -343,18 +347,17 @@ def _chunk_job(args) -> list[RolloutBatch]:
 
 
 def _merge(batches: list[RolloutBatch]) -> RolloutBatch:
-    costs = np.concatenate([b.costs for b in batches])
-    bad = int(np.count_nonzero(~np.isfinite(costs)))
-    if bad:
-        raise NonFiniteCostError(
-            f"{bad} of {costs.size} rollouts have a non-finite cost")
-    return RolloutBatch(
-        costs=costs,
+    merged = RolloutBatch(
         stage_costs=np.concatenate([b.stage_costs for b in batches]),
         ms_correction=np.concatenate([b.ms_correction for b in batches]),
         residual_max=float(np.max([b.residual_max for b in batches])),
         traces=tuple(t for b in batches for t in b.traces),
     )
+    bad = int(np.count_nonzero(~np.isfinite(merged.costs)))
+    if bad:
+        raise NonFiniteCostError(
+            f"{bad} of {merged.costs.size} rollouts have a non-finite cost")
+    return merged
 
 
 def _chunked(total: int, chunk: int) -> list[tuple[int, int]]:

@@ -20,6 +20,7 @@ from teamlqg import (
     to_json_dict,
     validate,
 )
+from teamlqg import sim
 from teamlqg.filters import schedule_to_json_dict
 from teamlqg.model import NORMALIZATION_TOL, PD_TOL, PSD_TOL, SYM_TOL
 from teamlqg.random_models import random_team
@@ -405,14 +406,40 @@ def test_chains_are_each_stack_and_its_coupled_sum(model):
     assert model.chains is model.chains
 
 
+def _array_fields(model):
+    return [getattr(model, f.name) for f in dataclasses.fields(model)
+            if f.name != "dims"]
+
+
+def _write_refused(model) -> bool:
+    """Whether writing to the model's A fails in the process that runs
+    this.  Module level, so the pool's workers can run it."""
+    try:
+        model.A[0, 0, 0] = 99.0
+    except ValueError:
+        return True
+    return False
+
+
 def test_chains_survive_pickling_and_follow_a_replaced_stack():
+    """A pickle carries the defining fields only: the clone is read-only,
+    in a pool worker too, and forms its cached values afresh."""
     model = random_team(np.random.default_rng(77))
+    uncached = len(pickle.dumps(random_team(np.random.default_rng(77))))
     before = model.chains
-    clone = pickle.loads(pickle.dumps(model))
+    assert model.alpha_bcast is not None
+    dump = pickle.dumps(model)
+    assert len(dump) <= uncached
+    clone = pickle.loads(dump)
+    assert "chains" not in vars(clone) and "alpha_bcast" not in vars(clone)
     for key in _CHAIN_KEYS:
         assert np.array_equal(clone.chains[key], before[key])
+        assert not clone.chains[key].flags.writeable
+    assert not any(arr.flags.writeable for arr in _array_fields(clone))
+    assert list(sim._pool_map(_write_refused, [model, model], 2)) == [True, True]
     Q = model.Q + 1.0
     changed = dataclasses.replace(model, Q=Q)
+    assert not any(arr.flags.writeable for arr in _array_fields(changed))
     assert changed.chains is not before
     assert np.array_equal(changed.chains["Q"], np.stack([Q, Q + model.Q_bar]))
     assert np.array_equal(changed.chains["A"], before["A"])
