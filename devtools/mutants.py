@@ -89,6 +89,12 @@ MUTANTS = (
     Mutant("residual blind to the split table", "src/teamlqg/sim.py",
            "    residual_max = float((np.abs(stage_costs - split_costs)",
            "    residual_max = float((np.abs(stage_costs - stage_costs)"),
+    Mutant("deviation filter noise divided by n", "src/teamlqg/filters.py",
+           "    n = np.array([1.0, model.dims.n])[pick, None, None]",
+           "    n = np.array([model.dims.n, model.dims.n])[pick, None, None]"),
+    Mutant("filter process noise from stage t + 1", "src/teamlqg/filters.py",
+           "                   + E[:, t] @ model.Sigma_w[t] @ E[:, t].swapaxes(-1, -2) / n)",
+           "                   + E[:, t] @ model.Sigma_w[t + 1] @ E[:, t].swapaxes(-1, -2) / n)"),
 )
 
 

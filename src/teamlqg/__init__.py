@@ -46,10 +46,8 @@ from .oracle import (
     exact_cost,
 )
 from .sim import (
-    CostEstimate,
     benchmark_convergence_model,
     convergence_experiment,
-    evaluate_cost,
     paired_cost_gap,
     rollout,
     run_rollouts,

@@ -16,6 +16,9 @@ influence that is one float, and the add that consumes the (B, d, 1)
 product broadcasts it, so no n-wide copy is built.  Recorded traces are
 transposed once to the (T, n, d) layout of ``Trace``.
 
+Every rollout, a lone ``rollout`` included, is stepped by ``_chunk_job``,
+the one caller of the noise bank and the kernel.
+
 Every run takes one path: each strategy is prepared once (``_prepare``),
 the run's chunks are queued (``_submit_prepared``), and their results are
 read back and merged per strategy (``_gather_prepared``).  The chunk size is
@@ -95,15 +98,6 @@ class RolloutBatch:
     @property
     def costs(self) -> np.ndarray:     # (B,)
         return self.stage_costs.sum(axis=1)
-
-
-@dataclass(frozen=True)
-class CostEstimate:
-    mean: float
-    stderr: float
-    n_rollouts: int
-    residual_max: float
-    degenerate: bool             # all rollouts identical (no sampling spread)
 
 
 def _prepare(model: TeamModel, kind: StrategyKind) -> Prepared:
@@ -189,8 +183,10 @@ def _default_chunk(dims: Dimensions) -> int:
     its ``MeanField`` and ``Optimal`` passes, in one process on a 2-core
     VM, at n = 128 and 1024, d = 1, 2 and 5, T = 10: against 512 KiB,
     256 KiB took 1-17% less time per rollout in all six cases (at n = 1024,
-    d = 2, 319 against 384 ms per 128 rollouts).  Budgets below 256 KiB
-    were not measured.  At small n it does not bind.
+    d = 2, 319 against 384 ms per 128 rollouts).  A later sweep of the
+    in-process convergence run, at one worker on the same VM, read 0.877,
+    0.711, 0.671, 0.609 and 0.650 s at 32, 64, 128, 256 and 512 KiB.  At
+    small n it does not bind.
     """
     return max(1, min(MAX_CHUNK,
                       BANK_BUDGET // _bank_bytes_per_rollout(dims),
@@ -469,25 +465,10 @@ def run_rollouts(model: TeamModel, kind: StrategyKind, seed: int = 0,
 
 def rollout(model: TeamModel, kind: StrategyKind, seed: int = 0,
             index: int = 0) -> Trace:
-    """One fully recorded rollout at the given index of the seed's stream."""
-    prep = _prepare(model, kind)
-    bank = _noise_bank(model, seed, index, index + 1)
-    return _merge([_run_batch(model, prep, bank, keep_traces=1)]).traces[0]
-
-
-def evaluate_cost(model: TeamModel, kind: StrategyKind, seed: int = 0,
-                  n_rollouts: int = 1000, workers: int = 1) -> CostEstimate:
-    """Monte Carlo estimate of the expected team cost with its standard error."""
-    batch = run_rollouts(model, kind, seed=seed, n_rollouts=n_rollouts,
-                         workers=workers)
-    mean, se = _mean_se(batch.costs)
-    return CostEstimate(
-        mean=mean,
-        stderr=se,
-        n_rollouts=batch.costs.size,
-        residual_max=batch.residual_max,
-        degenerate=se == 0.0,
-    )
+    """One fully recorded rollout at the given index of the seed's stream:
+    a chunk of one, stepped by ``_chunk_job`` as every run's chunks are."""
+    return _merge(_chunk_job((model, [_prepare(model, kind)], seed, index,
+                              index + 1, 1))).traces[0]
 
 
 def paired_cost_gap(model: TeamModel, kind_a: StrategyKind, kind_b: StrategyKind,

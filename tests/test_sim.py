@@ -6,6 +6,7 @@ import gc
 import math
 import multiprocessing
 import os
+import re
 import signal
 import time
 import warnings
@@ -13,6 +14,7 @@ import weakref
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from teamlqg.riccati import solve_riccati
 from teamlqg.sim import (
     benchmark_convergence_model,
     convergence_experiment,
-    evaluate_cost,
     paired_cost_gap,
     Trace,
     rollout,
@@ -276,8 +277,6 @@ def test_worker_pool_matches_inline(model_s2):
 
 _RUNS = {
     "run_rollouts": lambda workers: run_rollouts(
-        scalar_pair_model(), Optimal(), n_rollouts=4, workers=workers),
-    "evaluate_cost": lambda workers: evaluate_cost(
         scalar_pair_model(), Optimal(), n_rollouts=4, workers=workers),
     "paired_cost_gap": lambda workers: paired_cost_gap(
         scalar_pair_model(), MeanField(), Optimal(), n_rollouts=4,
@@ -613,8 +612,8 @@ def test_verification_mc_checks_match_separate_estimates():
     expected = []
     for model in reference_models():
         for kind in (ZeroAction(), Optimal()):
-            est = evaluate_cost(model, kind, seed=4, n_rollouts=500)
-            expected.append((est.mean, est.stderr))
+            batch = run_rollouts(model, kind, seed=4, n_rollouts=500)
+            expected.append(sim._mean_se(batch.costs))
     assert [(c.sampled, c.stderr) for c in report.mc_checks] == expected
 
 
@@ -664,20 +663,34 @@ def test_trace_recording_is_consistent(model_s2):
 def test_zero_noise_model_is_deterministic():
     model = scalar_pair_model(T=3, mu_x=2.0, Sigma_x=0.0, Sigma_w=0.0,
                               Sigma_v=0.0)
-    est = evaluate_cost(model, ZeroAction(), seed=0, n_rollouts=50)
-    assert est.degenerate
-    assert est.mean == pytest.approx(12.0, abs=1e-12)
-    assert est.stderr == 0.0
+    batch = run_rollouts(model, ZeroAction(), seed=0, n_rollouts=50)
+    mean, stderr = sim._mean_se(batch.costs)
+    assert mean == pytest.approx(12.0, abs=1e-12)
+    assert stderr == 0.0
 
 
 def test_mc_mean_matches_exact_cost(model_s1, model_s2):
     for model, kind in ((model_s1, ZeroAction()), (model_s1, Optimal()),
                         (model_s2, Optimal()), (model_s2, MeanField())):
-        est = evaluate_cost(model, kind, seed=17, n_rollouts=20_000)
+        batch = run_rollouts(model, kind, seed=17, n_rollouts=20_000)
+        mean, stderr = sim._mean_se(batch.costs)
         target = exact_cost(model, kind)
-        assert isinstance(est.stderr, float)
-        assert abs(est.mean - target) <= 5.0 * est.stderr
-        assert est.residual_max <= 1e-9
+        assert isinstance(stderr, float)
+        assert abs(mean - target) <= 5.0 * stderr
+        assert batch.residual_max <= 1e-9
+
+
+def test_readme_quick_start_example():
+    # the README's library quick start, run as written: its Monte Carlo
+    # mean, formed in plain numpy, lies within five standard errors of the
+    # exact cost
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    (block,) = [b for b in blocks if "run_rollouts(" in b]
+    names = {}
+    exec(block, names)
+    assert abs(names["mean"] - names["exact"]) <= 5.0 * names["stderr"]
+    assert len(names["batch"].traces) == 5
 
 
 @pytest.mark.parametrize("T, rollouts", [(200, 200), (2000, 32)])
@@ -690,10 +703,11 @@ def test_long_unstable_horizon_matches_exact_cost(T, rollouts):
     detuned = CustomLinear(theta=0.9 * base.theta, phi=base.phi,
                            psi=base.psi + 0.05, omega=base.omega)
     for kind in (Optimal(), detuned, MeanField()):
-        est = evaluate_cost(model, kind, seed=1, n_rollouts=rollouts)
+        batch = run_rollouts(model, kind, seed=1, n_rollouts=rollouts)
+        mean, stderr = sim._mean_se(batch.costs)
         target = exact_cost(model, kind)
-        assert abs(est.mean - target) <= 5.0 * est.stderr, type(kind).__name__
-        assert est.residual_max <= 1e-9
+        assert abs(mean - target) <= 5.0 * stderr, type(kind).__name__
+        assert batch.residual_max <= 1e-9
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
