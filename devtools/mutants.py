@@ -95,6 +95,15 @@ MUTANTS = (
     Mutant("filter process noise from stage t + 1", "src/teamlqg/filters.py",
            "                   + E[:, t] @ model.Sigma_w[t] @ E[:, t].swapaxes(-1, -2) / n)",
            "                   + E[:, t] @ model.Sigma_w[t + 1] @ E[:, t].swapaxes(-1, -2) / n)"),
+    Mutant("trace writer skips est_err", "src/teamlqg/cli.py",
+           "                if getattr(trace, field.name) is not None))",
+           '                if getattr(trace, field.name) is not None and field.name != "est_err"))'),
+    Mutant("unknown keys not rejected", "src/teamlqg/model.py",
+           "    if unknown:",
+           "    if False:"),
+    Mutant("no minimum --seed", "src/teamlqg/cli.py",
+           '                   "seed": 0}',
+           "                   }"),
 )
 
 

@@ -35,7 +35,6 @@ from .strategy import (
     MeanField,
     Optimal,
     ZeroAction,
-    load_custom_strategy,
     meanfield_trajectory,
     optimal_coefficients,
     parse_strategy,

@@ -13,6 +13,7 @@ import os
 import resource
 import sys
 from collections.abc import Iterator
+from dataclasses import fields
 from datetime import datetime, timezone
 from itertools import chain, repeat
 
@@ -35,9 +36,11 @@ EXIT_USAGE = 64
 
 _NUMERICAL_ERRORS = (RiccatiError, SingularInnovationError, NonFiniteCostError)
 
-# the smallest value of each count flag, checked before any work; verify's
-# Monte Carlo checks each need a standard error, so two rollouts at least
-_MINIMUM_COUNTS = {"rollouts": 1, "models": 0, "trace_rollouts": 0, "workers": 1}
+# the smallest value of each count flag and of --seed, checked before any
+# work; verify's Monte Carlo checks each need a standard error, so two
+# rollouts at least
+_MINIMUM_COUNTS = {"rollouts": 1, "models": 0, "trace_rollouts": 0, "workers": 1,
+                   "seed": 0}
 _COMMAND_MINIMUMS = {"verify": {"rollouts": 2}}
 
 
@@ -106,6 +109,16 @@ def _load_validated_model(path: str) -> TeamModel:
     return model
 
 
+def _make_out_dir(path: str) -> None:
+    """Create the ``--out`` directory, before any rollout, sweep or suite
+    starts; a path that cannot be one is a usage error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise _UsageError(
+            f"--out cannot be a directory: {path!r} ({exc.strerror})") from exc
+
+
 def _write_json(path: str, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -158,7 +171,7 @@ def _schedules(model: TeamModel) -> dict[str, dict]:
 
 def cmd_precompute(args) -> int:
     model = _load_validated_model(args.model)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     files = _schedules(model)
     _write_outputs(args.out, "precompute", files,
                    model=os.path.abspath(args.model))
@@ -184,7 +197,7 @@ def _parse_strategy_arg(text: str, model: TeamModel):
 def cmd_simulate(args) -> int:
     model = _load_validated_model(args.model)
     kind = _parse_strategy_arg(args.strategy, model)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     keep = args.trace_rollouts if args.record == "full" else 0
     batch = run_rollouts(model, kind, seed=args.seed, n_rollouts=args.rollouts,
                          workers=args.workers, keep_traces=keep)
@@ -206,35 +219,27 @@ def cmd_simulate(args) -> int:
 
 
 def _trace_table(traces) -> tuple[list[str], Iterator]:
-    """Long-format trace: one row per recorded component.
+    """Long-format trace: one row per recorded component of every field of
+    each ``Trace`` that is not None, in field order.
 
-    Stage indices are 1-based; agents are numbered 1..n with -1 marking
-    population-aggregate rows; components index into vectors, 1-based.
+    Stage indices are 1-based; agents are numbered 1..n, with -1 marking
+    the population rows of a field with no agent axis; components index
+    into vectors, 1-based, and a scalar per stage is component 1.
     """
 
-    def rows(rollout, name, array, aggregate):
-        stages = array[:, None] if aggregate else array  # (t, agent, comp)
+    def rows(rollout, name, array):
+        # (stage, agent, component), with one agent for a population row
+        stages = np.expand_dims(array, tuple(range(1, 4 - array.ndim)))
         t, agent, comp = (np.indices(stages.shape) + 1).reshape(3, -1).tolist()
-        return zip(repeat(rollout), t, repeat(-1) if aggregate else agent,
+        return zip(repeat(rollout), t, agent if array.ndim == 3 else repeat(-1),
                    repeat(name), comp, map(_fmt, stages.ravel().tolist()))
 
-    def tables():
-        for rollout, trace in enumerate(traces):
-            yield rows(rollout, "x", trace.x, False)
-            yield rows(rollout, "u", trace.u, False)
-            yield rows(rollout, "y", trace.y, False)
-            yield rows(rollout, "x_bar", trace.x_bar, True)
-            yield rows(rollout, "u_bar", trace.u_bar, True)
-            yield rows(rollout, "y_bar", trace.y_bar, True)
-            yield rows(rollout, "stage_cost", trace.stage_cost[:, None], True)
-            if trace.delta_xhat is not None:
-                yield rows(rollout, "delta_xhat", trace.delta_xhat, False)
-                yield rows(rollout, "combined_xhat", trace.combined_xhat, False)
-                yield rows(rollout, "est_err", trace.est_err, False)
-                yield rows(rollout, "agg_xhat", trace.agg_xhat, True)
-
     return (["rollout", "t", "agent", "variable", "component", "value"],
-            chain.from_iterable(tables()))
+            chain.from_iterable(
+                rows(rollout, field.name, getattr(trace, field.name))
+                for rollout, trace in enumerate(traces)
+                for field in fields(trace)
+                if getattr(trace, field.name) is not None))
 
 
 def _check_precomputed(model: TeamModel, directory: str) -> bool:
@@ -264,8 +269,8 @@ def cmd_verify(args) -> int:
             raise _UsageError("--precomputed requires --model")
         model = _load_validated_model(args.model)
         roundtrip_ok = _check_precomputed(model, args.precomputed)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
+    if args.out is not None:
+        _make_out_dir(args.out)
     report = run_verification_suite(n_models=args.models, seed=args.seed,
                                     mc_rollouts=args.rollouts,
                                     workers=args.workers)
@@ -273,7 +278,7 @@ def cmd_verify(args) -> int:
     if roundtrip_ok is not None:
         doc["precomputed_roundtrip_ok"] = roundtrip_ok
         doc["ok"] = doc["ok"] and roundtrip_ok
-    if args.out:
+    if args.out is not None:
         _write_outputs(args.out, "verify", {"verification.json": doc},
                        models=args.models, seed=args.seed,
                        rollouts=args.rollouts)
@@ -300,7 +305,7 @@ def cmd_convergence(args) -> int:
     else:
         model = benchmark_convergence_model()
     n_list = _parse_n_list(args.n_list)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     result = convergence_experiment(model, n_list, rollouts=args.rollouts,
                                     seed=args.seed, workers=args.workers)
     # a slope that cannot be fit (NaN) is written as null

@@ -198,16 +198,11 @@ def predict_estimates(
     return delta, agg
 
 
-def team_error_covariance(
-    local: FilterSchedule,
-    glob: FilterSchedule,
-    alpha: np.ndarray,
-    n: int,
-    t: int | slice,
-    phase: str = "updated",
-) -> np.ndarray:
-    """Joint covariance of the team's per-agent estimation errors at stage t,
-    or the (stages, size, size) stack of them when ``t`` is a slice.
+def team_error_covariance(sigma: np.ndarray, sigma_agg: np.ndarray,
+                          alpha: np.ndarray, n: int) -> np.ndarray:
+    """Joint covariance of the team's per-agent estimation errors, from the
+    deviation and aggregate error covariances of one stage, (d, d) each, or
+    the (stages, size, size) stack of them from two (stages, d, d) stacks.
 
     Block (i, j) combines the deviation-error covariance, which carries the
     index-invariant factor (delta_ij - alpha_i alpha_j / n), with the shared
@@ -218,14 +213,12 @@ def team_error_covariance(
     size.
     """
     alpha = np.asarray(alpha, dtype=float)
-    sig = local.Sigma_post[t] if phase == "updated" else local.Sigma_pred[t]
-    sig_agg = glob.Sigma_post[t] if phase == "updated" else glob.Sigma_pred[t]
     shared = np.outer(alpha, alpha)
     weights = np.eye(alpha.shape[0]) - shared / n
     # np.kron of the weights with each stage, without its call overhead
-    blocks = (np.einsum("ij,...kl->...ikjl", weights, sig)
-              + np.einsum("ij,...kl->...ikjl", shared, sig_agg))
-    size = alpha.shape[0] * sig.shape[-1]
+    blocks = (np.einsum("ij,...kl->...ikjl", weights, sigma)
+              + np.einsum("ij,...kl->...ikjl", shared, sigma_agg))
+    size = alpha.shape[0] * sigma.shape[-1]
     return blocks.reshape(blocks.shape[:-4] + (size, size))
 
 

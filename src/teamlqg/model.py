@@ -49,6 +49,7 @@ _STAGE_SHAPES = {
 }
 _STAGE_KEYS = tuple(_STAGE_SHAPES)
 _REQUIRED_STAGE_KEYS = ("A", "B", "C", "Q", "R")
+_NOISE_KEYS = ("mu_x", "Sigma_x", "Sigma_w", "Sigma_v")
 # arrays with no stage axis: what validate() finds there names no stage
 _UNSTAGED = ("mu_x", "Sigma_x", "alpha")
 
@@ -417,14 +418,20 @@ def to_json_dict(model: TeamModel) -> dict:
         "dims": asdict(model.dims),
         "stages": [{k: getattr(model, k)[t].tolist() for k in _STAGE_KEYS}
                    for t in range(model.dims.T)],
-        "noise": {
-            "mu_x": model.mu_x.tolist(),
-            "Sigma_x": model.Sigma_x.tolist(),
-            "Sigma_w": model.Sigma_w.tolist(),
-            "Sigma_v": model.Sigma_v.tolist(),
-        },
+        "noise": {k: getattr(model, k).tolist() for k in _NOISE_KEYS},
         "alpha": model.alpha.tolist(),
     }
+
+
+def _reject_unknown(doc, known, where: str = "") -> None:
+    """Raise a ValueError, prefixed by ``where``, unless ``doc`` is a JSON
+    object whose keys are all in ``known``: a misspelled key would
+    otherwise load as the default of the key it was meant to be."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}not a JSON object")
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ValueError(f"{where}unknown key {', '.join(map(repr, unknown))}")
 
 
 def from_json_dict(doc: dict) -> TeamModel:
@@ -433,13 +440,18 @@ def from_json_dict(doc: dict) -> TeamModel:
     The document needs ``dims``, ``stages`` (one object or a list of T),
     ``noise``, and ``alpha``.  Coupling matrices, ``E``, ``S``, and ``mu_x``
     may be omitted; see the README for the full schema.  Every matrix is
-    read at the shape ``dims`` gives it.
+    read at the shape ``dims`` gives it.  A key the schema does not name,
+    at the top level, in ``dims``, in a stage or in ``noise``, is a
+    ValueError.
     """
     try:
         dims = Dimensions(**{f.name: int(doc["dims"][f.name]) for f in fields(Dimensions)})
         stages, noise, alpha = doc["stages"], doc["noise"], doc["alpha"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"model document is missing required data: {exc}") from exc
+    _reject_unknown(doc, ("dims", "stages", "noise", "alpha"))
+    _reject_unknown(doc["dims"], [f.name for f in fields(Dimensions)], "dims: ")
+    _reject_unknown(noise, _NOISE_KEYS, "noise: ")
     if dims.T < 1:
         raise ValueError("dims.T must be at least 1")
     if isinstance(stages, dict):
@@ -449,6 +461,7 @@ def from_json_dict(doc: dict) -> TeamModel:
 
     entries = {key: [] for key in _STAGE_KEYS}
     for t, st in enumerate(stages):
+        _reject_unknown(st, _STAGE_KEYS, f"stages[{t}]: ")
         for key, (rname, cname) in _STAGE_SHAPES.items():
             if key in _REQUIRED_STAGE_KEYS and key not in st:
                 raise ValueError(f"stages[{t}]: missing required matrix {key}")

@@ -18,7 +18,7 @@ code; ``centralized_filter`` shares only the gain check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -399,10 +399,9 @@ def exact_cost(model: TeamModel, kind: StrategyKind) -> float | complex:
 
 
 def pack_coefficients(kind: CustomLinear) -> np.ndarray:
-    return np.concatenate([
-        kind.theta.reshape(-1), kind.phi.reshape(-1),
-        kind.psi.reshape(-1), kind.omega.reshape(-1),
-    ])
+    """The coefficient stacks of a CustomLinear rule, flat in field order."""
+    return np.concatenate([getattr(kind, f.name).reshape(-1)
+                           for f in fields(kind)])
 
 
 def unpack_coefficients(vec: np.ndarray, model: TeamModel) -> CustomLinear:

@@ -17,9 +17,11 @@ product broadcasts it, so no n-wide copy is built.  Recorded traces are
 transposed once to the (T, n, d) layout of ``Trace``.
 
 Every rollout, a lone ``rollout`` included, is stepped by ``_chunk_job``,
-the one caller of the noise bank and the kernel.
+the one caller of the noise bank and the kernel.  A recorded chunk of a
+fixed size, ``rollout``'s one or ``verify.check_one_model``'s four, is one
+``_chunk_job`` call, merged by ``_merge``.
 
-Every run takes one path: each strategy is prepared once (``_prepare``),
+Every other run takes one path: each strategy is prepared once (``_prepare``),
 the run's chunks are queued (``_submit_prepared``), and their results are
 read back and merged per strategy (``_gather_prepared``).  The chunk size is
 not an option.  A chunk holds at most ``_default_chunk`` rollouts, whose
@@ -69,7 +71,9 @@ class Trace:
 
     Estimator fields are None for the zero strategy, which carries no
     estimator.  Under the mean-field strategy ``agg_xhat`` holds the
-    precomputed population plan rather than a filtered quantity.
+    precomputed population plan rather than a filtered quantity.  The field
+    order is the variable order of ``trace.csv``, which writes every field
+    that is not None; a field with no agent axis is a population row.
     """
 
     x: np.ndarray               # (T, n, d_x)
@@ -80,9 +84,9 @@ class Trace:
     y_bar: np.ndarray           # (T, d_y)
     stage_cost: np.ndarray      # (T,)
     delta_xhat: Optional[np.ndarray]   # (T, n, d_x)
-    agg_xhat: Optional[np.ndarray]     # (T, d_x)
     combined_xhat: Optional[np.ndarray]  # (T, n, d_x)
     est_err: Optional[np.ndarray]      # (T, n, d_x)
+    agg_xhat: Optional[np.ndarray]     # (T, d_x)
 
 
 @dataclass(frozen=True)
@@ -294,8 +298,7 @@ def _run_batch(model: TeamModel, prep: Prepared, bank: dict,
 
     residual_max = float((np.abs(stage_costs - split_costs)
                           / np.maximum(1.0, np.abs(stage_costs))).max())
-    traces = tuple(_assemble_trace(model, hist, stage_costs, b,
-                                   coeffs is not None)
+    traces = tuple(_assemble_trace(model, hist, stage_costs, b)
                    for b in range(keep))
     return RolloutBatch(
         stage_costs=stage_costs,
@@ -306,9 +309,10 @@ def _run_batch(model: TeamModel, prep: Prepared, bank: dict,
 
 
 def _assemble_trace(model: TeamModel, hist: dict, stage_costs: np.ndarray,
-                    b: int, has_filter: bool) -> Trace:
+                    b: int) -> Trace:
     """One rollout's record, transposed from the kernel's (d, n) stages to
-    the (T, n, d) layout of ``Trace``."""
+    the (T, n, d) layout of ``Trace``; a rule that carries no estimator
+    records no estimates."""
     alpha = model.alpha
     n = model.n
 
@@ -320,7 +324,7 @@ def _assemble_trace(model: TeamModel, hist: dict, stage_costs: np.ndarray,
     y = agents("y")
     u = agents("u") if hist["u"] else np.zeros((0, n, model.dims.d_u))
     delta = agg = combined = err = None
-    if has_filter:
+    if hist["delta"]:
         delta = agents("delta")
         agg = np.stack([s[b] for s in hist["agg"]])
         combined = delta + alpha[None, :, None] * agg[:, None, :]

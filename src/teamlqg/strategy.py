@@ -20,7 +20,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .filters import FilterSchedule, _matvec, precompute_filters, precompute_local
-from .model import Dimensions, TeamModel, _read_json, _stack_stage
+from .model import Dimensions, TeamModel, _read_json, _reject_unknown, _stack_stage
 from .riccati import RiccatiPass, solve_riccati
 
 
@@ -83,9 +83,13 @@ class CustomLinear:
     @classmethod
     def from_json_dict(cls, doc: dict, model: TeamModel) -> "CustomLinear":
         """Read each coefficient in any form ``model._stack_stage`` accepts;
-        an omitted one is zero, a non-finite one a ValueError."""
+        an omitted one is zero, a non-finite one or a key that names no
+        coefficient a ValueError.  ``T``, the horizon that
+        ``schedule_to_json_dict`` writes, is allowed and not read."""
+        shapes = _coefficient_shapes(model.dims)
+        _reject_unknown(doc, (*shapes, "T"))
         coefficients = {key: _stack_stage(doc.get(key, 0.0), *shape, key)
-                        for key, shape in _coefficient_shapes(model.dims).items()}
+                        for key, shape in shapes.items()}
         for key, value in coefficients.items():
             if not np.isfinite(value).all():
                 raise ValueError(f"{key}: not finite")
@@ -151,11 +155,6 @@ def optimal_coefficients(gains: RiccatiPass, model: TeamModel) -> CustomLinear:
     )
 
 
-def load_custom_strategy(path, model: TeamModel) -> CustomLinear:
-    """Read CustomLinear coefficients from a JSON file."""
-    return CustomLinear.from_json_dict(_read_json(path), model)
-
-
 def parse_strategy(text: str, model: TeamModel) -> StrategyKind:
     """Map a command-line strategy name to a strategy object."""
     if text == "optimal":
@@ -165,7 +164,8 @@ def parse_strategy(text: str, model: TeamModel) -> StrategyKind:
     if text == "zero":
         return ZeroAction()
     if text.startswith("custom:"):
-        return load_custom_strategy(text.split(":", 1)[1], model)
+        return CustomLinear.from_json_dict(_read_json(text.split(":", 1)[1]),
+                                           model)
     raise ValueError(f"unknown strategy {text!r}")
 
 

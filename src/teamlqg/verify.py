@@ -35,7 +35,8 @@ from .filters import team_error_covariance
 from .model import TeamModel, make_model
 from .oracle import _Team, centralized_estimates, exact_cost
 from .random_models import random_team
-from .sim import _gather_prepared, _mean_se, _pool_map, _prepare, _submit_prepared
+from .sim import (_chunk_job, _gather_prepared, _mean_se, _merge, _pool_map,
+                  _prepare, _submit_prepared)
 from .strategy import (CustomLinear, Optimal, StrategyKind, ZeroAction,
                        _coefficient_shapes)
 
@@ -111,8 +112,7 @@ def check_one_model(model: TeamModel, kind: StrategyKind,
     both the rollouts and the covariance check.
     """
     prep = _prepare(model, kind)
-    batch = _gather_prepared(_submit_prepared(model, [prep], seed, 4, 1,
-                                              keep_traces=1))[0]
+    batch = _merge(_chunk_job((model, [prep], seed, 0, 4, 1)))
     trace = batch.traces[0]
     estimates, run = centralized_estimates(model, trace.y, trace.u)
     scale = max(1.0, float(np.abs(estimates).max()))
@@ -120,10 +120,10 @@ def check_one_model(model: TeamModel, kind: StrategyKind,
 
     alpha = _Team.reduced(model).alpha
     cov_dev = 0.0
-    for phase, sig in (("predicted", run.Sigma_pred),
-                       ("updated", run.Sigma_post)):
-        assembled = team_error_covariance(prep.local, prep.glob, alpha,
-                                          model.n, slice(None), phase)
+    for sigma, sigma_agg, sig in (
+            (prep.local.Sigma_pred, prep.glob.Sigma_pred, run.Sigma_pred),
+            (prep.local.Sigma_post, prep.glob.Sigma_post, run.Sigma_post)):
+        assembled = team_error_covariance(sigma, sigma_agg, alpha, model.n)
         denom = np.maximum(1.0, np.abs(sig).max(axis=(1, 2)))
         worst = np.abs(assembled - sig).max(axis=(1, 2)) / denom
         cov_dev = float(np.maximum(cov_dev, worst.max()))

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior in temporary directories."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -118,6 +119,58 @@ def test_simulate_full_record_writes_trace(model_file, tmp_path):
     assert first_state == reference.x[0, 0, 0]
     agg_rows = [r for r in rows if r[3] == "agg_xhat"]
     assert all(r[2] == "-1" for r in agg_rows)
+
+
+def _trace_rows(trace_file) -> list[tuple]:
+    with open(trace_file, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["rollout", "t", "agent", "variable", "component", "value"]
+    return [(int(r), int(t), int(agent), name, int(comp), float(value).hex())
+            for r, t, agent, name, comp, value in rows[1:]]
+
+
+def _expected_trace_rows(index, trace) -> list[tuple]:
+    """Every field of a ``Trace`` that is not None, in field order, a field
+    with no agent axis at agent -1, each value as its exact hex form."""
+    rows = []
+    for field in dataclasses.fields(trace):
+        value = getattr(trace, field.name)
+        if value is None:
+            continue
+        for cell, entry in np.ndenumerate(value):
+            if value.ndim == 3:
+                t, agent, comp = cell[0], cell[1] + 1, cell[2]
+            else:
+                t, agent, comp = cell[0], -1, cell[1] if value.ndim == 2 else 0
+            rows.append((index, t + 1, agent, field.name, comp + 1,
+                         float(entry).hex()))
+    return rows
+
+
+@pytest.mark.parametrize("T", [3, 1])
+@pytest.mark.parametrize("strategy", ["optimal", "meanfield", "zero", "custom"])
+def test_trace_csv_holds_every_trace_field_bit_for_bit(tmp_path, strategy, T):
+    path = tmp_path / "model.json"
+    save_model(make_model(
+        T=T, alpha=teamlqg.normalize_influence([1.0, 2.0, 3.0]),
+        A=[[1.0, 0.1], [0.0, 0.9]], A_bar=0.2 * np.eye(2), B=[[1.0], [0.5]],
+        C=[[1.0, 0.5]], C_bar=[[0.3, 0.0]], Q=np.eye(2), Q_bar=0.5 * np.eye(2),
+        R=1.0, R_bar=0.25, mu_x=[0.5, -0.5], Sigma_x=np.eye(2),
+        Sigma_w=np.eye(2), Sigma_v=1.0), path)
+    model = load_model(path)
+    rule = tmp_path / "rule.json"
+    rule.write_text(json.dumps({"theta": [[-0.3, 0.1]], "phi": [[0.2, -0.1]],
+                                "psi": [[0.1]], "omega": [[-0.2]]}))
+    text = f"custom:{rule}" if strategy == "custom" else strategy
+    out = tmp_path / "run"
+    assert main(["simulate", "--model", str(path), "--strategy", text,
+                 "--seed", "4", "--rollouts", "3", "--workers", "1",
+                 "--record", "full", "--trace-rollouts", "2",
+                 "--out", str(out)]) == 0
+    kind = teamlqg.parse_strategy(text, model)
+    expected = [row for index in range(2) for row in _expected_trace_rows(
+        index, rollout(model, kind, seed=4, index=index))]
+    assert _trace_rows(out / "trace.csv") == expected
 
 
 def test_simulate_unknown_strategy_is_usage_error(model_file, tmp_path):
@@ -318,6 +371,9 @@ def test_verify_usage_errors_come_before_the_suite(model_file, tmp_path,
     ("verify", ["--workers", "0"]),
     ("convergence", ["--workers", "-2"]),
     ("verify", ["--rollouts", "1"]),
+    ("simulate", ["--model", "MODEL", "--seed", "-1"]),
+    ("verify", ["--seed", "-1"]),
+    ("convergence", ["--seed", "-1"]),
 ])
 def test_bad_counts_are_usage_errors_before_any_work(model_file, tmp_path,
                                                      monkeypatch, capsys,
@@ -334,6 +390,28 @@ def test_bad_counts_are_usage_errors_before_any_work(model_file, tmp_path,
     assert main([command, "--workers", "1", "--out", str(out), *args]) == 64
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["precompute", "simulate", "convergence",
+                                     "verify"])
+@pytest.mark.parametrize("problem", ["file", "empty"])
+def test_an_out_that_cannot_be_a_directory_is_a_usage_error(
+        model_file, tmp_path, monkeypatch, capsys, command, problem):
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the usage error")
+
+    for name in ("_schedules", "run_rollouts", "run_verification_suite",
+                 "convergence_experiment"):
+        monkeypatch.setattr(f"teamlqg.cli.{name}", work)
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory")
+    out = str(out) if problem == "file" else ""
+    model = [] if command in ("convergence", "verify") else ["--model",
+                                                            model_file]
+    assert main([command, *model, "--out", out]) == 64
+    assert capsys.readouterr().err.startswith(
+        f"usage error: --out cannot be a directory: {out!r} (")
+    assert (tmp_path / "taken").read_text() == "a file, not a directory"
 
 
 # every command that loads a model, with flags that keep it small
@@ -418,6 +496,36 @@ def test_malformed_custom_strategy_file_is_validation_failure(model_file,
                  "--workers", "1", "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
         "validation failure: strategy file rejected: theta: not finite\n")
+
+
+@pytest.mark.parametrize("case, message", [
+    ("stage", "model file rejected: stages[0]: unknown key 'Abar'"),
+    ("noise", "model file rejected: noise: unknown key 'mu_X'"),
+    ("rule", "strategy file rejected: unknown key 'thetaa'"),
+    ("model-as-rule", "strategy file rejected: "
+                      "unknown key 'dims', 'stages', 'noise', 'alpha'"),
+], ids=["stage", "noise", "rule", "model-as-rule"])
+def test_an_unknown_key_fails_at_load(tmp_path, capsys, case, message):
+    """A misspelled key would load as the default of the key it was meant
+    to be: zero coupling, a zero mean, a zero rule."""
+    doc = to_json_dict(scalar_pair_model(A_bar=1.0))
+    rule = {"theta": -0.4}
+    if case == "stage":
+        doc["stages"][0]["Abar"] = doc["stages"][0].pop("A_bar")
+    elif case == "noise":
+        doc["noise"]["mu_X"] = doc["noise"].pop("mu_x")
+    elif case == "rule":
+        rule["thetaa"] = rule.pop("theta")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    rule_file = tmp_path / "rule.json"
+    rule_file.write_text(json.dumps(doc if case == "model-as-rule" else rule))
+    out = tmp_path / "out"
+    assert main(["simulate", "--model", str(model), "--strategy",
+                 f"custom:{rule_file}", "--rollouts", "2", "--workers", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"validation failure: {message}\n"
+    assert not out.exists()
 
 
 def test_argument_parse_error_is_usage_error(model_file, capsys):

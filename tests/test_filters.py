@@ -239,7 +239,8 @@ def test_paired_pass_is_byte_equal_to_one_chain_at_a_time(options):
 def test_team_error_covariance_scalar_values(model_s1):
     local = precompute_local(model_s1)
     glob = precompute_global(model_s1)
-    cov = team_error_covariance(local, glob, model_s1.alpha, 2, 0, "updated")
+    cov = team_error_covariance(local.Sigma_post[0], glob.Sigma_post[0],
+                                model_s1.alpha, 2)
     # uncoupled unit-influence pair: independent agents with variance 1/2
     np.testing.assert_allclose(cov, 0.5 * np.eye(2), atol=1e-12)
 

@@ -301,6 +301,8 @@ def test_rectangular_document_loads():
                  id="scalar-A-in-2x2"),
     pytest.param(lambda d: d["stages"][1].update(C=[[1.0], [0.5, 1.0]]), r"stages\[1\]\.C",
                  id="ragged-C"),
+    pytest.param(lambda d: d["stages"].__setitem__(0, [[1.0]]),
+                 r"stages\[0\]: not a JSON object", id="stage-not-an-object"),
 ])
 def test_malformed_document_names_the_field(change, field):
     doc = _rect_document()
@@ -372,6 +374,7 @@ def test_custom_rule_scalar_fills_one_by_one_slots():
     pytest.param({"psi": [[0.5, 0.5]]}, "psi", id="matrix-shape"),
     pytest.param({"omega": "high"}, "omega", id="not-numeric"),
     pytest.param({"phi": [[float("nan")]]}, "phi: not finite", id="not-finite"),
+    pytest.param([[0.5]], "not a JSON object", id="not-an-object"),
 ])
 def test_malformed_custom_rule_names_the_field(doc, field):
     with pytest.raises(ValueError, match=field):

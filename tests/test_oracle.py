@@ -153,10 +153,11 @@ def test_joint_covariance_matches_team_assembly():
         traj = simulate_truth(model, rng)
         run = centralized_filter(dense_joint_model(model), *_flat(traj))
         for t in range(d.T):
-            for phase, sig in (("predicted", run.Sigma_pred[t]),
-                               ("updated", run.Sigma_post[t])):
-                assembled = team_error_covariance(local, glob, model.alpha,
-                                                  model.n, t, phase)
+            for sig, sigma, sigma_agg in (
+                    (run.Sigma_pred[t], local.Sigma_pred[t], glob.Sigma_pred[t]),
+                    (run.Sigma_post[t], local.Sigma_post[t], glob.Sigma_post[t])):
+                assembled = team_error_covariance(sigma, sigma_agg, model.alpha,
+                                                  model.n)
                 np.testing.assert_allclose(assembled, sig, rtol=1e-9, atol=1e-9)
 
 
@@ -303,10 +304,11 @@ def test_verification_maxima_match_fresh_schedules():
         local, glob = precompute_local(model), precompute_global(model)
         alpha = _Team.reduced(model).alpha
         for t in range(model.T):
-            for phase, sig in (("predicted", run.Sigma_pred[t]),
-                               ("updated", run.Sigma_post[t])):
-                assembled = team_error_covariance(local, glob, alpha, model.n,
-                                                  t, phase)
+            for sig, sigma, sigma_agg in (
+                    (run.Sigma_pred[t], local.Sigma_pred[t], glob.Sigma_pred[t]),
+                    (run.Sigma_post[t], local.Sigma_post[t], glob.Sigma_post[t])):
+                assembled = team_error_covariance(sigma, sigma_agg, alpha,
+                                                  model.n)
                 denom = max(1.0, float(np.abs(sig).max()))
                 record("cov", float(np.abs(assembled - sig).max()) / denom,
                        index)
@@ -329,16 +331,17 @@ def test_team_error_covariance_of_a_stage_slice_stacks_each_stage():
     rng = np.random.default_rng(17)
     model = random_team(rng, T=6)
     local, glob = precompute_local(model), precompute_global(model)
-    for phase in ("predicted", "updated"):
-        stack = team_error_covariance(local, glob, model.alpha, model.n,
-                                      slice(1, 5), phase)
+    for sigma, sigma_agg in ((local.Sigma_pred, glob.Sigma_pred),
+                             (local.Sigma_post, glob.Sigma_post)):
+        stack = team_error_covariance(sigma[1:5], sigma_agg[1:5], model.alpha,
+                                      model.n)
         assert stack.shape == (4, model.n * model.dims.d_x,
                                model.n * model.dims.d_x)
         for t in range(1, 5):
             np.testing.assert_array_equal(
                 stack[t - 1],
-                team_error_covariance(local, glob, model.alpha, model.n, t,
-                                      phase))
+                team_error_covariance(sigma[t], sigma_agg[t], model.alpha,
+                                      model.n))
 
 
 def test_exact_cost_zero_strategy_single_stage():
